@@ -33,8 +33,13 @@ from .graphs import (
     parse_family,
     parse_graph,
 )
-from .search import SearchBudgetExceeded, failed_number, zero_forcing_number
-from .suites import SUITE_NAMES, run_suite
+from .search import (
+    SearchBudgetExceeded,
+    failed_number,
+    resolve_budget,
+    zero_forcing_number,
+)
+from .suites import SUITE_NAMES, SuiteUsageError, run_suite
 from .theorems import TheoremReport
 
 EXIT_OK = 0
@@ -113,7 +118,13 @@ def _analyze(args) -> int:
         description = spec.label()
     else:
         with open(args.file, encoding="utf-8") as fh:
-            g = parse_graph(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise GraphFormatError(
+                    f"{args.file}: not UTF-8 text ({exc.reason} at byte "
+                    f"{exc.start})") from None
+        g = parse_graph(text)
         description = f"file:{args.file}"
     params = [p.strip().upper() for p in args.params.split(",") if p.strip()]
     for p in params:
@@ -309,12 +320,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        resolve_budget(getattr(args, "budget", None))
+    except ValueError as exc:
+        print(f"error: bad --budget or FORCEKIT_BUDGET: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    try:
         if args.command == "analyze":
             return _analyze(args)
         if args.command == "verify":
             return _verify(args)
         return _table(args)
-    except (FamilyError, GraphFormatError, OSError) as exc:
+    except (FamilyError, GraphFormatError, SuiteUsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except SearchBudgetExceeded as exc:

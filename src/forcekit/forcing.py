@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import Graph, VertexSet, components_within
+from .graphs import Graph, VertexSet, components_within, mask_of
 
 
 class Rule(enum.Enum):
@@ -47,37 +47,28 @@ def _check_subset(g: Graph, blue: VertexSet) -> None:
         raise ValueError("blue set has bits outside the graph's vertices")
 
 
-def _forces_standard(g: Graph, blue: VertexSet) -> dict[int, int]:
+# Looking a member up on the enum class costs ~150 ns; the kernels run often.
+_STANDARD = Rule.STANDARD
+
+
+def _scopes(g: Graph, white: VertexSet, rule: Rule):
+    """Where a blue vertex must see exactly one white neighbor to force it:
+    the whole white set under the standard rule, each white component under
+    PSD.  This is the only difference between the two rules."""
+    return (white,) if rule is _STANDARD else components_within(g, white)
+
+
+def _forces(g: Graph, blue: VertexSet, rule: Rule) -> dict[int, int]:
     """forced vertex -> least blue forcer, against the current coloring."""
-    white = g.full_mask & ~blue
     adj = g.adj
     forced: dict[int, int] = {}
-    b = blue
-    while b:
-        lsb = b & -b
-        b ^= lsb
-        u = lsb.bit_length() - 1
-        m = adj[u] & white
-        if m and not m & (m - 1):
-            v = m.bit_length() - 1
-            if v not in forced:
-                forced[v] = u
-    return forced
-
-
-def _forces_psd(g: Graph, blue: VertexSet) -> dict[int, int]:
-    """Forces of one PSD iteration: a blue u forces v when v is u's only
-    neighbor inside v's white component."""
-    white = g.full_mask & ~blue
-    adj = g.adj
-    forced: dict[int, int] = {}
-    for comp in components_within(g, white):
+    for scope in _scopes(g, g.full_mask & ~blue, rule):
         b = blue
         while b:
             lsb = b & -b
             b ^= lsb
             u = lsb.bit_length() - 1
-            m = adj[u] & comp
+            m = adj[u] & scope
             if m and not m & (m - 1):
                 v = m.bit_length() - 1
                 if v not in forced:
@@ -85,41 +76,50 @@ def _forces_psd(g: Graph, blue: VertexSet) -> dict[int, int]:
     return forced
 
 
+def can_force_into(g: Graph, white: VertexSet, rule: Rule) -> bool:
+    """True when some color change applies while exactly the vertices of
+    white are white; returns at the first force found.  A nonempty white
+    set is a fort exactly when this is False."""
+    adj = g.adj
+    blue = g.full_mask & ~white
+    for scope in _scopes(g, white, rule):
+        b = blue
+        while b:
+            lsb = b & -b
+            b ^= lsb
+            m = adj[lsb.bit_length() - 1] & scope
+            if m and not m & (m - 1):
+                return True
+    return False
+
+
 def step(g: Graph, blue: VertexSet, rule: Rule) -> tuple[VertexSet, list[Force]]:
     """Apply one synchronous round of the rule; returns the new blue set and
     the forces performed, ordered by forced vertex."""
     _check_subset(g, blue)
-    forced = (_forces_standard if rule is Rule.STANDARD else _forces_psd)(g, blue)
-    new_blue = blue
-    forces = []
-    for v in sorted(forced):
-        new_blue |= 1 << v
-        forces.append(Force(forced[v], v, 1))
-    return new_blue, forces
+    forced = _forces(g, blue, rule)
+    return blue | mask_of(forced), [Force(forced[v], v, 1) for v in sorted(forced)]
 
 
 def closure(g: Graph, blue: VertexSet, rule: Rule) -> tuple[VertexSet, ForcingTrace]:
     """Iterate the rule to its fixpoint (the derived coloring)."""
     _check_subset(g, blue)
-    forces_fn = _forces_standard if rule is Rule.STANDARD else _forces_psd
     steps: list[Force] = []
     iteration = 0
     while True:
-        forced = forces_fn(g, blue)
+        forced = _forces(g, blue, rule)
         if not forced:
             return blue, ForcingTrace(tuple(steps))
         iteration += 1
-        for v in sorted(forced):
-            blue |= 1 << v
-            steps.append(Force(forced[v], v, iteration))
+        steps.extend(Force(forced[v], v, iteration) for v in sorted(forced))
+        blue |= mask_of(forced)
 
 
 def derived_set(g: Graph, blue: VertexSet, rule: Rule) -> VertexSet:
     """Closure without trace bookkeeping (the hot path for searches)."""
     _check_subset(g, blue)
-    forces_fn = _forces_standard if rule is Rule.STANDARD else _forces_psd
     while True:
-        forced = forces_fn(g, blue)
+        forced = _forces(g, blue, rule)
         if not forced:
             return blue
         for v in forced:
@@ -141,7 +141,4 @@ def is_stalled(g: Graph, s: VertexSet, rule: Rule) -> bool:
     subsets only).
     """
     _check_subset(g, s)
-    if s == g.full_mask:
-        return False
-    forces_fn = _forces_standard if rule is Rule.STANDARD else _forces_psd
-    return not forces_fn(g, s)
+    return s != g.full_mask and not can_force_into(g, g.full_mask & ~s, rule)

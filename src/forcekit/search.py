@@ -15,8 +15,8 @@ import os
 from dataclasses import dataclass
 from itertools import combinations
 
-from .forcing import Rule, derived_set
-from .graphs import Graph, VertexSet, bits, components_within
+from .forcing import Rule, can_force_into, derived_set
+from .graphs import Graph, VertexSet, bits, mask_of
 
 DEFAULT_BUDGET = 20_000_000
 BRUTE_FORCE_MAX_N = 20
@@ -27,10 +27,14 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 def resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("FORCEKIT_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    """budget, else FORCEKIT_BUDGET, else DEFAULT_BUDGET.  ValueError when
+    the value is not an integer or is negative."""
+    if budget is None:
+        env = os.environ.get("FORCEKIT_BUDGET")
+        budget = int(env) if env else DEFAULT_BUDGET
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 class _Budget:
@@ -40,8 +44,8 @@ class _Budget:
         self.left = limit
         self.what = what
 
-    def spend(self, amount: int = 1) -> None:
-        self.left -= amount
+    def spend(self) -> None:
+        self.left -= 1
         if self.left < 0:
             raise SearchBudgetExceeded(
                 f"{self.what}: candidate budget exhausted (raise --budget "
@@ -76,56 +80,43 @@ def zero_forcing_number(g: Graph, rule: Rule,
     Subsets are explored in ascending cardinality, lexicographic within each
     size; a partial set is only extended by vertices outside its closure
     (any minimum forcing set survives this pruning: a member inside the
-    closure of the others could be dropped).
+    closure of the others could be dropped).  A node's closure is computed
+    from ``start``, its parent's closure plus the new vertex, instead of from
+    the prefix: both rules are monotone and idempotent, so
+    cl(S + v) = cl(cl(S) + v).
     """
     tracker = _Budget(resolve_budget(budget), "zero_forcing_number")
     n = g.n
     full = g.full_mask
 
-    def extend(prefix: VertexSet, last: int, size: int, k: int) -> VertexSet | None:
+    def extend(prefix: VertexSet, start: VertexSet, last: int, size: int,
+               k: int) -> VertexSet | None:
         tracker.spend()
-        cl = derived_set(g, prefix, rule)
+        cl = derived_set(g, start, rule)
         if size == k:
             return prefix if cl == full else None
         for v in range(last + 1, n):
             if cl & (1 << v):
                 continue
-            found = extend(prefix | (1 << v), v, size + 1, k)
+            found = extend(prefix | (1 << v), cl | (1 << v), v, size + 1, k)
             if found is not None:
                 return found
         return None
 
     for k in range(1, n + 1):
-        witness = extend(0, -1, 0, k)
+        witness = extend(0, 0, -1, 0, k)
         if witness is not None:
             return ExtremalResult(k, witness, rule, "min-forcing", "subset-search")
     raise AssertionError("the full vertex set always forces")
 
 
-def _is_fort_standard(g: Graph, w: VertexSet) -> bool:
-    adj = g.adj
-    out = g.full_mask & ~w
-    while out:
-        lsb = out & -out
-        out ^= lsb
-        m = adj[lsb.bit_length() - 1] & w
-        if m and not m & (m - 1):
-            return False
-    return True
-
-
-def _is_fort_psd(g: Graph, w: VertexSet) -> bool:
-    adj = g.adj
-    outside = g.full_mask & ~w
-    for comp in components_within(g, w):
-        out = outside
-        while out:
-            lsb = out & -out
-            out ^= lsb
-            m = adj[lsb.bit_length() - 1] & comp
-            if m and not m & (m - 1):
-                return False
-    return True
+def _ascending_subsets(n: int, tracker: _Budget):
+    """Nonempty subsets of range(n) by ascending size, lexicographic within
+    a size, spending one unit of budget per subset."""
+    for k in range(1, n + 1):
+        for combo in combinations(range(n), k):
+            tracker.spend()
+            yield mask_of(combo)
 
 
 def is_fort(g: Graph, w: VertexSet, rule: Rule) -> bool:
@@ -136,7 +127,7 @@ def is_fort(g: Graph, w: VertexSet, rule: Rule) -> bool:
     """
     if not w or w & ~g.full_mask:
         return False
-    return (_is_fort_standard if rule is Rule.STANDARD else _is_fort_psd)(g, w)
+    return not can_force_into(g, w, rule)
 
 
 def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
@@ -145,16 +136,9 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
     Always exists: the full vertex set is a fort (its complement is the
     stalled empty coloring).
     """
-    tracker = _Budget(resolve_budget(budget), "min_fort")
-    check = _is_fort_standard if rule is Rule.STANDARD else _is_fort_psd
-    for k in range(1, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            tracker.spend()
-            w = 0
-            for v in combo:
-                w |= 1 << v
-            if check(g, w):
-                return w
+    for w in _ascending_subsets(g.n, _Budget(resolve_budget(budget), "min_fort")):
+        if not can_force_into(g, w, rule):
+            return w
     raise AssertionError("unreachable: V itself is a fort")
 
 
@@ -209,19 +193,10 @@ def enumerate_maximal_failed(g: Graph, rule: Rule,
             f"enumerate_maximal_failed: n={g.n} exceeds the scan guard "
             f"(n <= {BRUTE_FORCE_MAX_N})")
     tracker = _Budget(resolve_budget(budget), "enumerate_maximal_failed")
-    check = _is_fort_standard if rule is Rule.STANDARD else _is_fort_psd
     minimal_forts: list[VertexSet] = []
-    for k in range(1, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            tracker.spend()
-            w = 0
-            for v in combo:
-                w |= 1 << v
-            if any(f & w == f for f in minimal_forts):
-                continue
-            if check(g, w):
-                minimal_forts.append(w)
-    full = g.full_mask
-    out = [full & ~w for w in minimal_forts]
-    out.sort(key=bits)
-    return out
+    for w in _ascending_subsets(g.n, tracker):
+        if any(f & w == f for f in minimal_forts):
+            continue
+        if not can_force_into(g, w, rule):
+            minimal_forts.append(w)
+    return sorted((g.full_mask & ~w for w in minimal_forts), key=bits)

@@ -31,12 +31,10 @@ from .formulas import (
 from .graphs import (
     FamilySpec,
     Graph,
-    bits,
     build_family,
     disjoint_union,
     graph_from_edges,
     is_connected,
-    mask_of,
     parse_family,
 )
 from .linalg import (
@@ -47,8 +45,6 @@ from .linalg import (
     weighted_laplacian,
 )
 from .search import (
-    brute_failed_number,
-    enumerate_maximal_failed,
     failed_number,
     zero_forcing_number,
 )
@@ -61,8 +57,19 @@ from .theorems import (
     check_module_characterizations,
 )
 
-SUITE_NAMES = ("table1", "table2", "table51", "characterizations",
-               "exhaustive6", "disconnected", "linalg")
+# The families that Table 5.1 tabulates Z, Z+, mr and mr+ for.
+_TABLE51_KINDS = ("path", "cycle", "complete", "hypercube", "wheel",
+                  "biclique", "halfgraph")
+
+# exhaustive6 scans 2^(n(n-1)/2) labeled graphs per order n: about 2.1M at
+# n = 7, 2^28 at n = 8.
+_EXHAUSTIVE_MAX_N = 7
+
+
+class SuiteUsageError(ValueError):
+    """A suite was asked for something it does not do, such as a flag it
+    would ignore or an order it cannot scan."""
+
 
 # Default verification ranges; all instances finish within minutes under
 # fort search.
@@ -163,9 +170,7 @@ def run_table2(max_n: int | None = None, budget: int | None = None) -> dict:
 def run_table51(max_n: int | None = None, budget: int | None = None) -> dict:
     """Computed forcing numbers against the tabulated Z and Z+ columns."""
     result = _new_result("table51", max_n=max_n)
-    kinds = ("path", "cycle", "complete", "hypercube", "wheel", "biclique",
-             "halfgraph")
-    for spec in default_family_specs(max_n, kinds):
+    for spec in default_family_specs(max_n, _TABLE51_KINDS):
         preds = {p.parameter: p for p in predicted_table51(spec)}
         g = build_family(spec)
         for parameter, rule in (("Z", Rule.STANDARD), ("Zplus", Rule.PSD)):
@@ -183,25 +188,28 @@ def run_table51(max_n: int | None = None, budget: int | None = None) -> dict:
 # Characterization suite over family instances
 # ---------------------------------------------------------------------------
 
+def _characterize(g: Graph, name: str, budget: int | None = None):
+    """F, F+, Z and Z+ of g, and the structural theorem checks that apply
+    to every graph; returns ((f, fp, z, zp), reports)."""
+    f = failed_number(g, Rule.STANDARD, budget).value
+    fp = failed_number(g, Rule.PSD, budget).value
+    z = zero_forcing_number(g, Rule.STANDARD, budget).value
+    zp = zero_forcing_number(g, Rule.PSD, budget).value
+    reports = check_isolated_characterizations(g, name, f, fp)
+    if is_connected(g):
+        reports += check_module_characterizations(g, name, f, fp)
+    reports += check_low_Fplus(g, name, fp, zp)
+    reports += check_F_vs_Z(g, name, f, z, fp, zp)
+    return (f, fp, z, zp), reports
+
+
 def run_characterizations(max_n: int | None = None,
                           budget: int | None = None) -> dict:
     result = _new_result("characterizations", max_n=max_n)
-    table_kinds = ("path", "cycle", "complete", "hypercube", "wheel",
-                   "biclique", "halfgraph")
     for spec in default_family_specs(max_n):
-        g = build_family(spec)
-        f = failed_number(g, Rule.STANDARD, budget).value
-        fp = failed_number(g, Rule.PSD, budget).value
-        z = zero_forcing_number(g, Rule.STANDARD, budget).value
-        zp = zero_forcing_number(g, Rule.PSD, budget).value
-        name = spec.label()
-        reports = []
-        reports += check_isolated_characterizations(g, name, f, fp)
-        if is_connected(g):
-            reports += check_module_characterizations(g, name, f, fp)
-        reports += check_low_Fplus(g, name, fp, zp)
-        reports += check_F_vs_Z(g, name, f, z, fp, zp)
-        if spec.kind in table_kinds:
+        (f, fp, _, zp), reports = _characterize(build_family(spec),
+                                                spec.label(), budget)
+        if spec.kind in _TABLE51_KINDS:
             reports += check_minrank_equalities(spec, f, fp)
         reports += check_Fplus_lt_Zplus_cases(spec, fp, zp)
         for rep in reports:
@@ -232,39 +240,29 @@ def _graph_from_edge_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _scan_one_graph(g: Graph, name: str) -> list[dict]:
-    f = failed_number(g, Rule.STANDARD).value
-    fp = failed_number(g, Rule.PSD).value
-    z = zero_forcing_number(g, Rule.STANDARD).value
-    zp = zero_forcing_number(g, Rule.PSD).value
-    reports = []
-    reports += check_isolated_characterizations(g, name, f, fp)
-    if is_connected(g):
-        reports += check_module_characterizations(g, name, f, fp)
-    reports += check_low_Fplus(g, name, fp, zp)
-    reports += check_F_vs_Z(g, name, f, z, fp, zp)
-    return [r.as_dict() for r in reports]
-
-
 def _exhaustive_chunk(args: tuple[int, int, int]) -> dict:
     n, lo, hi = args
     counts = {t: [0, 0] for t in _EXHAUSTIVE_THEOREMS}
     violations = []
     for mask in range(lo, hi):
         g = _graph_from_edge_mask(n, mask)
-        for rep in _scan_one_graph(g, f"n={n} edges={mask:#x}"):
-            slot = counts[rep["theorem"]]
+        _, reports = _characterize(g, f"n={n} edges={mask:#x}")
+        for rep in reports:
+            slot = counts[rep.theorem]
             slot[0] += 1
-            if not rep["pass"]:
+            if not rep.passed:
                 slot[1] += 1
                 if len(violations) < 25:
-                    violations.append(rep)
+                    violations.append(rep.as_dict())
     return {"checked": hi - lo, "counts": counts, "violations": violations}
 
 
 def run_exhaustive(max_n: int = 6, jobs: int = 1) -> dict:
     """Verify every characterization biconditional on all labeled graphs
     with at most max_n vertices (2^(n(n-1)/2) edge subsets per order)."""
+    if not 1 <= max_n <= _EXHAUSTIVE_MAX_N:
+        raise SuiteUsageError(f"exhaustive6 takes --max-n from 1 to "
+                              f"{_EXHAUSTIVE_MAX_N}, got {max_n}")
     result = _new_result("exhaustive6", max_n=max_n, jobs=jobs)
     totals = {t: [0, 0] for t in _EXHAUSTIVE_THEOREMS}
     graphs_checked = 0
@@ -302,14 +300,6 @@ def run_exhaustive(max_n: int = 6, jobs: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # Random graphs and disconnected composition
 # ---------------------------------------------------------------------------
-
-def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:
-    if p is None:
-        p = rng.uniform(0.1, 0.9)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
-    return graph_from_edges(n, edges)
-
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
     """Random spanning tree plus extra edges, uniform parent choice."""
@@ -371,63 +361,6 @@ def run_disconnected(seed: int = 0, trials: int = 200,
     return _finish(result)
 
 
-def run_oracle_equivalence(seed: int = 0, trials: int = 500,
-                           max_n: int = 8) -> dict:
-    """Fort-complement failed numbers against the 2^n brute oracle on seeded
-    random graphs and every default family instance of order <= max_n."""
-    rng = random.Random(seed)
-    result = _new_result("oracle", seed=seed, trials=trials, max_n=max_n)
-    cases: list[tuple[str, Graph]] = []
-    for t in range(trials):
-        n = rng.randint(1, max_n)
-        cases.append((f"random#{t} n={n}", random_graph(rng, n)))
-    cases.extend((spec.label(), build_family(spec))
-                 for spec in default_family_specs(max_n))
-    for name, g in cases:
-        for rule in (Rule.STANDARD, Rule.PSD):
-            fast = failed_number(g, rule).value
-            brute = brute_failed_number(g, rule).value
-            _record(result, {
-                "graph": name, "theorem": "fort-vs-brute",
-                "rule": rule.value, "expected": brute, "observed": fast,
-                "pass": fast == brute,
-            })
-    return _finish(result)
-
-
-def maximal_failed_contains_compositions(g: Graph, rule: Rule) -> bool:
-    """The per-component construction V \\ (V_i \\ F_i) must appear among the
-    maximal failed sets of a disconnected graph."""
-    comps = _components(g)
-    if len(comps) < 2:
-        raise ValueError("needs a disconnected graph")
-    maximal = set(enumerate_maximal_failed(g, rule))
-    full = g.full_mask
-    for comp in comps:
-        sub = _induced(g, comp)
-        witness = failed_number(sub, rule).witness
-        # map the witness back into g's labels
-        verts = bits(comp)
-        lifted = mask_of(verts[i] for i in bits(witness))
-        constructed = full & ~(comp & ~lifted)
-        if constructed not in maximal:
-            return False
-    return True
-
-
-def _components(g: Graph):
-    from .graphs import connected_components
-    return connected_components(g)
-
-
-def _induced(g: Graph, sub: int) -> Graph:
-    verts = bits(sub)
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [(index[u], index[v]) for u in verts
-             for v in bits(g.adj[u]) if u < v and sub & (1 << v)]
-    return graph_from_edges(len(verts), edges)
-
-
 # ---------------------------------------------------------------------------
 # Numerical suite
 # ---------------------------------------------------------------------------
@@ -440,13 +373,11 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
     instance of order <= max_n, plus a few disjoint unions whose Laplacian
     kernels have dimension > 1."""
     result = _new_result("linalg", seed=seed, trials=trials, max_n=max_n)
-    table_kinds = ("path", "cycle", "complete", "hypercube", "wheel",
-                   "biclique", "halfgraph")
     specs = default_family_specs(max_n)
     specs.extend(parse_family(text) for text in _LINALG_UNIONS)
     for idx, spec in enumerate(specs):
         g = build_family(spec)
-        in_table = spec.kind in table_kinds
+        in_table = spec.kind in _TABLE51_KINDS
         support_ok = 0
         rank_ok = 0
         rank_total = 0
@@ -495,20 +426,32 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
 # Dispatch
 # ---------------------------------------------------------------------------
 
+# name -> (runner, the flags it takes).  Every suite accepts --seed and
+# --jobs; --max-n and --budget go only to the suites listed as taking them.
+_SUITES = {
+    "table1": (run_table1, ("max_n", "budget")),
+    "table2": (run_table2, ("max_n", "budget")),
+    "table51": (run_table51, ("max_n", "budget")),
+    "characterizations": (run_characterizations, ("max_n", "budget")),
+    "exhaustive6": (run_exhaustive, ("max_n", "jobs")),
+    "disconnected": (run_disconnected, ("seed",)),
+    "linalg": (run_linalg, ("seed", "max_n")),
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, *, seed: int = 0, jobs: int = 1,
               max_n: int | None = None, budget: int | None = None) -> dict:
-    if name == "table1":
-        return run_table1(max_n, budget)
-    if name == "table2":
-        return run_table2(max_n, budget)
-    if name == "table51":
-        return run_table51(max_n, budget)
-    if name == "characterizations":
-        return run_characterizations(max_n, budget)
-    if name == "exhaustive6":
-        return run_exhaustive(max_n or 6, jobs)
-    if name == "disconnected":
-        return run_disconnected(seed)
-    if name == "linalg":
-        return run_linalg(seed, max_n=max_n or 12)
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    """Run one suite by name.  An unset flag (None) leaves the suite's own
+    default; --max-n or --budget given to a suite that does not take it is
+    refused rather than ignored."""
+    if name not in _SUITES:
+        raise SuiteUsageError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    runner, takes = _SUITES[name]
+    flags = {"seed": seed, "jobs": jobs, "max_n": max_n, "budget": budget}
+    for flag in ("max_n", "budget"):
+        if flags[flag] is not None and flag not in takes:
+            raise SuiteUsageError(f"suite {name} does not take "
+                                  f"--{flag.replace('_', '-')}")
+    return runner(**{flag: flags[flag] for flag in takes
+                     if flags[flag] is not None})

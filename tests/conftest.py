@@ -2,7 +2,22 @@ import random
 
 from hypothesis import strategies as st
 
-from forcekit.graphs import Graph, graph_from_edges
+from forcekit.forcing import Rule
+from forcekit.graphs import (
+    Graph,
+    bits,
+    build_family,
+    components_within,
+    connected_components,
+    graph_from_edges,
+    mask_of,
+)
+from forcekit.search import (
+    brute_failed_number,
+    enumerate_maximal_failed,
+    failed_number,
+)
+from forcekit.suites import _finish, _new_result, _record, default_family_specs
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
@@ -31,9 +46,90 @@ def graph_with_subset(draw, min_n: int = 1, max_n: int = 7):
     return g, sub
 
 
+def reference_closure(g, blue, rule):
+    """Asynchronous oracle: apply one valid force at a time using python
+    sets; the derived coloring must match the synchronous engine."""
+    blue_set = set(bits(blue))
+    while True:
+        move = None
+        white = [v for v in range(g.n) if v not in blue_set]
+        if rule is Rule.STANDARD:
+            regions = [set(white)] if white else []
+        else:
+            white_mask = g.full_mask & ~sum(1 << v for v in blue_set)
+            regions = [set(bits(c)) for c in components_within(g, white_mask)]
+        for region in regions:
+            for u in sorted(blue_set):
+                nbrs = [v for v in bits(g.adj[u]) if v in region]
+                if len(nbrs) == 1:
+                    move = nbrs[0]
+                    break
+            if move is not None:
+                break
+        if move is None:
+            return sum(1 << v for v in blue_set)
+        blue_set.add(move)
+
+
+def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:
+    if p is None:
+        p = rng.uniform(0.1, 0.9)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < p]
+    return graph_from_edges(n, edges)
+
+
 def seeded_random_graph(seed: int, n: int) -> Graph:
+    return random_graph(random.Random(seed), n)
+
+
+def run_oracle_equivalence(seed: int = 0, trials: int = 500,
+                           max_n: int = 8) -> dict:
+    """Fort-complement failed numbers against the 2^n brute oracle on seeded
+    random graphs and every default family instance of order <= max_n."""
     rng = random.Random(seed)
-    p = rng.uniform(0.1, 0.9)
-    return graph_from_edges(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n)
-            if rng.random() < p])
+    result = _new_result("oracle", seed=seed, trials=trials, max_n=max_n)
+    cases: list[tuple[str, Graph]] = []
+    for t in range(trials):
+        n = rng.randint(1, max_n)
+        cases.append((f"random#{t} n={n}", random_graph(rng, n)))
+    cases.extend((spec.label(), build_family(spec))
+                 for spec in default_family_specs(max_n))
+    for name, g in cases:
+        for rule in (Rule.STANDARD, Rule.PSD):
+            fast = failed_number(g, rule).value
+            brute = brute_failed_number(g, rule).value
+            _record(result, {
+                "graph": name, "theorem": "fort-vs-brute",
+                "rule": rule.value, "expected": brute, "observed": fast,
+                "pass": fast == brute,
+            })
+    return _finish(result)
+
+
+def maximal_failed_contains_compositions(g: Graph, rule: Rule) -> bool:
+    """The per-component construction V \\ (V_i \\ F_i) must appear among the
+    maximal failed sets of a disconnected graph."""
+    comps = connected_components(g)
+    if len(comps) < 2:
+        raise ValueError("needs a disconnected graph")
+    maximal = set(enumerate_maximal_failed(g, rule))
+    full = g.full_mask
+    for comp in comps:
+        sub = _induced(g, comp)
+        witness = failed_number(sub, rule).witness
+        # map the witness back into g's labels
+        verts = bits(comp)
+        lifted = mask_of(verts[i] for i in bits(witness))
+        constructed = full & ~(comp & ~lifted)
+        if constructed not in maximal:
+            return False
+    return True
+
+
+def _induced(g: Graph, sub: int) -> Graph:
+    verts = bits(sub)
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [(index[u], index[v]) for u in verts
+             for v in bits(g.adj[u]) if u < v and sub & (1 << v)]
+    return graph_from_edges(len(verts), edges)

@@ -18,8 +18,9 @@ from forcekit.suites import (
     run_disconnected,
     run_exhaustive,
     run_linalg,
-    run_oracle_equivalence,
 )
+
+from conftest import run_oracle_equivalence
 
 SEED = 20260811
 TABLE_KINDS = ("path", "cycle", "complete", "hypercube", "wheel",

@@ -75,6 +75,23 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--file", str(path))
         assert code == 2 and "loop" in err
 
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff\xfe2 1\n0 1\n")
+        code, _, err = run_cli(capsys, "analyze", "--file", str(path))
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("env,argv", [
+        ("abc", ()),
+        ("-5", ()),
+        (None, ("--budget", "-1")),
+    ])
+    def test_bad_budget_exits_2(self, capsys, monkeypatch, env, argv):
+        if env is not None:
+            monkeypatch.setenv("FORCEKIT_BUDGET", env)
+        code, _, err = run_cli(capsys, "analyze", "--family", "path:3", *argv)
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
     def test_budget_exceeded_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--family", "hypercube:4",
                                "--budget", "0")
@@ -111,6 +128,27 @@ class TestVerify:
                                "--max-n", "4", "--jobs", "1", "--json")
         result = json.loads(out)
         assert code == 0 and result["graphs_checked"] == 75
+
+    @pytest.mark.parametrize("argv", [
+        ("disconnected", "--max-n", "5"),
+        ("disconnected", "--budget", "100"),
+        ("linalg", "--budget", "100"),
+        ("exhaustive6", "--budget", "100"),
+        ("exhaustive6", "--max-n", "-1"),
+        ("exhaustive6", "--max-n", "0"),
+        ("exhaustive6", "--max-n", "9"),
+    ])
+    def test_refuses_flags_it_would_ignore(self, capsys, argv):
+        suite, *flags = argv
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, *flags,
+                                 "--jobs", "1", "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_max_n_zero_is_not_the_default(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "linalg",
+                               "--max-n", "0", "--jobs", "1", "--json")
+        assert code == 0 and json.loads(out)["params"]["max_n"] == 0
 
     def test_reports_known_discrepancies(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "table51",

@@ -13,40 +13,15 @@ from forcekit.forcing import (
     is_stalled,
     step,
 )
-from forcekit.graphs import bits, build_family, components_within, parse_family
+from forcekit.graphs import build_family, parse_family
 
-from conftest import graph_with_subset, graphs
+from conftest import graph_with_subset, graphs, reference_closure
 
 BOTH = (Rule.STANDARD, Rule.PSD)
 
 
 def fam(text):
     return build_family(parse_family(text))
-
-
-def reference_closure(g, blue, rule):
-    """Asynchronous oracle: apply one valid force at a time using python
-    sets; the derived coloring must match the synchronous engine."""
-    blue_set = set(bits(blue))
-    while True:
-        move = None
-        white = [v for v in range(g.n) if v not in blue_set]
-        if rule is Rule.STANDARD:
-            regions = [set(white)] if white else []
-        else:
-            white_mask = g.full_mask & ~sum(1 << v for v in blue_set)
-            regions = [set(bits(c)) for c in components_within(g, white_mask)]
-        for region in regions:
-            for u in sorted(blue_set):
-                nbrs = [v for v in bits(g.adj[u]) if v in region]
-                if len(nbrs) == 1:
-                    move = nbrs[0]
-                    break
-            if move is not None:
-                break
-        if move is None:
-            return sum(1 << v for v in blue_set)
-        blue_set.add(move)
 
 
 class TestStep:
@@ -185,3 +160,10 @@ class TestStalled:
         g, sub = gs
         fixed, _ = step(g, sub, rule)
         assert is_stalled(g, sub, rule) == (fixed == sub and sub != g.full_mask)
+
+    @settings(max_examples=80)
+    @given(graph_with_subset(), st.sampled_from(BOTH))
+    def test_stalled_iff_fixed_point_of_async_oracle(self, gs, rule):
+        g, sub = gs
+        fixed = reference_closure(g, sub, rule) == sub
+        assert is_stalled(g, sub, rule) == (fixed and sub != g.full_mask)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,51 @@ from forcekit.search import (
     zero_forcing_number,
 )
 
-from conftest import graphs, seeded_random_graph
+from conftest import graph_with_subset, graphs, reference_closure, seeded_random_graph
 
 BOTH = (Rule.STANDARD, Rule.PSD)
 
 
 def fam(text):
     return build_family(parse_family(text))
+
+
+def literal_is_fort(g, w, rule):
+    """The fort definition on python sets: w is nonempty and every outside
+    vertex has 0 or >= 2 neighbors in w, within each component of G[w]
+    under the PSD rule."""
+    inside = set(bits(w))
+    if not inside:
+        return False
+    blocks = [inside]
+    if rule is Rule.PSD:
+        blocks, todo = [], set(inside)
+        while todo:
+            block, frontier = set(), [todo.pop()]
+            while frontier:
+                u = frontier.pop()
+                block.add(u)
+                for v in bits(g.adj[u]):
+                    if v in todo:
+                        todo.discard(v)
+                        frontier.append(v)
+            blocks.append(block)
+    for u in set(range(g.n)) - inside:
+        nbrs = set(bits(g.adj[u]))
+        if any(len(nbrs & block) == 1 for block in blocks):
+            return False
+    return True
+
+
+def brute_zero_forcing(g, rule):
+    """Smallest forcing set by a plain scan: sizes ascending, combinations
+    in lexicographic order, each tested with the asynchronous oracle."""
+    for k in range(1, g.n + 1):
+        for combo in combinations(range(g.n), k):
+            s = sum(1 << v for v in combo)
+            if reference_closure(g, s, rule) == g.full_mask:
+                return k, s
+    raise AssertionError("the full vertex set always forces")
 
 
 class TestZeroForcingNumber:
@@ -48,6 +87,12 @@ class TestZeroForcingNumber:
             res = zero_forcing_number(g, rule)
             assert res.witness.bit_count() == res.value
             assert is_forcing_set(g, res.witness, rule)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_n=7), st.sampled_from(BOTH))
+    def test_matches_brute_scan(self, g, rule):
+        res = zero_forcing_number(g, rule)
+        assert (res.value, res.witness) == brute_zero_forcing(g, rule)
 
     def test_lexicographically_least_witness(self):
         # adjacent pairs force a cycle; {0,1} comes first
@@ -96,6 +141,12 @@ class TestMinFort:
                 w = min_fort(g, rule)
                 assert is_fort(g, w, rule)
                 assert is_stalled(g, g.full_mask & ~w, rule)
+
+    @settings(max_examples=120)
+    @given(graph_with_subset(), st.sampled_from(BOTH))
+    def test_is_fort_matches_definition(self, gs, rule):
+        g, w = gs
+        assert is_fort(g, w, rule) == literal_is_fort(g, w, rule)
 
     def test_no_smaller_fort(self):
         g = fam("cycle:6")

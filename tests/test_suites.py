@@ -8,18 +8,18 @@ from forcekit.graphs import disjoint_union
 from forcekit.suites import (
     SUITE_NAMES,
     default_family_specs,
-    maximal_failed_contains_compositions,
     random_connected_graph,
     run_characterizations,
     run_disconnected,
     run_exhaustive,
     run_linalg,
-    run_oracle_equivalence,
     run_suite,
     run_table1,
     run_table2,
     run_table51,
 )
+
+from conftest import maximal_failed_contains_compositions, run_oracle_equivalence
 
 
 class TestDefaultSpecs:
