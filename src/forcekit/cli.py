@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -72,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--suite", choices=SUITE_NAMES, required=True)
     ve.add_argument("--max-n", type=int, default=None)
     ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    ve.add_argument("--jobs", type=int, default=1,
+                    help="worker processes for exhaustive6 (default 1)")
     ve.add_argument("--json", action="store_true")
     ve.add_argument("--budget", type=int, default=None)
 

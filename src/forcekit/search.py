@@ -3,10 +3,9 @@
 Minimum forcing sets come from a cardinality-ascending subset search pruned
 by closures.  Maximum failed sets come from minimum-fort search: a fort is a
 nonempty vertex set W whose complement is stalled, so the failed number is
-n - |minimum fort|.  Forts are typically tiny, which makes the ascending
-enumeration exponentially cheaper than scanning failed sets from the top;
-the descending scan survives as ``brute_failed_number``, the independent
-oracle.
+n - |minimum fort|, found by a depth-first search that prunes with
+necessary conditions of the fort definition.  The descending scan of
+failed sets survives as ``brute_failed_number``, the independent oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .forcing import Rule, can_force_into, derived_set
-from .graphs import Graph, VertexSet, bits, mask_of
+from .graphs import Graph, VertexSet, bits, components_within, mask_of
 
 DEFAULT_BUDGET = 20_000_000
 BRUTE_FORCE_MAX_N = 20
@@ -44,8 +43,8 @@ class _Budget:
         self.left = limit
         self.what = what
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, units: int = 1) -> None:
+        self.left -= units
         if self.left < 0:
             raise SearchBudgetExceeded(
                 f"{self.what}: candidate budget exhausted (raise --budget "
@@ -130,14 +129,122 @@ def is_fort(g: Graph, w: VertexSet, rule: Rule) -> bool:
     return not can_force_into(g, w, rule)
 
 
+def _must_include(g: Graph, chosen: VertexSet, must: VertexSet,
+                  outside: VertexSet, later: VertexSet,
+                  psd: bool) -> VertexSet | None:
+    """Vertices that every fort W with chosen | must <= W <= chosen | later
+    and W & outside == 0 contains, or None when no such fort exists.
+
+    A vertex outside W must not have exactly one neighbor in W (standard)
+    or in one component of G[W] (PSD); one neighbor in all of W is one in
+    that neighbor's component, so (a) and (b) serve both rules:
+    (a) an outside vertex with one neighbor in chosen | must and no
+        neighbor in later & ~must keeps that one neighbor in every W: no fort;
+    (b) if it has exactly one neighbor u in later & ~must, u is in every W;
+    (c) PSD only: a component of G[chosen | must] with no neighbor in
+        later & ~must is a component of G[W] for every W, so an outside
+        vertex with one neighbor in it leaves no fort.
+    """
+    adj = g.adj
+    inside = chosen | must
+    free = later & ~must
+    grew = True
+    while grew:
+        grew = False
+        rest = outside
+        while rest:
+            lsb = rest & -rest
+            rest ^= lsb
+            a = adj[lsb.bit_length() - 1]
+            m = a & inside
+            if m and not m & (m - 1):
+                m = a & free
+                if not m:
+                    return None
+                if not m & (m - 1):
+                    inside |= m
+                    free ^= m
+                    grew = True
+    if psd:
+        for comp in components_within(g, inside):
+            reach = 0
+            rest = comp
+            while rest:
+                lsb = rest & -rest
+                rest ^= lsb
+                reach |= adj[lsb.bit_length() - 1]
+            if reach & free:
+                continue
+            reach &= outside
+            while reach:
+                lsb = reach & -reach
+                reach ^= lsb
+                m = adj[lsb.bit_length() - 1] & comp
+                if not m & (m - 1):
+                    return None
+    return inside & ~chosen
+
+
 def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
     """Lexicographically least minimum-cardinality fort.
 
-    Always exists: the full vertex set is a fort (its complement is the
-    stalled empty coloring).
+    For k = 1, 2, ... a depth-first search walks the k-subsets in
+    lexicographic order, choosing vertices by increasing index, so the first
+    fort it reaches is the one an ascending scan of ``combinations`` would
+    return.  Vertices below the last choice that were skipped lie outside W;
+    an inner node is pruned only when ``_must_include`` shows that no fort
+    extends it, and the next choice never skips a vertex W must contain.
+    Leaves are tested with ``can_force_into``.  Every node spends one unit
+    of budget.  A fort always exists: the full vertex set is one (its
+    complement is the stalled empty coloring).
     """
-    for w in _ascending_subsets(g.n, _Budget(resolve_budget(budget), "min_fort")):
-        if not can_force_into(g, w, rule):
+    tracker = _Budget(resolve_budget(budget), "min_fort")
+    n = g.n
+    adj = g.adj
+    full = g.full_mask
+    psd = rule is Rule.PSD
+
+    def grow(chosen: VertexSet, must: VertexSet, nxt: int, left: int,
+             reach: VertexSet) -> VertexSet | None:
+        # reach: the neighbors of chosen; no prune applies while no outside
+        # vertex is among them and must is empty
+        tracker.spend()
+        last = n - left
+        outside = ((1 << nxt) - 1) & ~chosen
+        if must or outside & reach:
+            must = _must_include(g, chosen, must, outside,
+                                 full >> nxt << nxt, psd)
+            if must is None:
+                return None
+            need = must.bit_count()
+            if need > left:
+                return None
+            if must:
+                first = (must & -must).bit_length() - 1
+                if need == left:
+                    nxt = first
+                last = min(last, first)
+        if left == 1:
+            # The leaves, one node each, charged after the loop: a search
+            # still raises exactly when it visits more nodes than allowed.
+            for v in range(nxt, last + 1):
+                w = chosen | 1 << v
+                if not can_force_into(g, w, rule):
+                    tracker.spend(v + 1 - nxt)
+                    return w
+            tracker.spend(last + 1 - nxt)
+            return None
+        for v in range(nxt, last + 1):
+            bit = 1 << v
+            found = grow(chosen | bit, must & ~bit, v + 1, left - 1,
+                         reach | adj[v])
+            if found is not None:
+                return found
+        return None
+
+    for k in range(1, n + 1):
+        w = grow(0, 0, 0, k, 0)
+        if w is not None:
             return w
     raise AssertionError("unreachable: V itself is a fort")
 

@@ -17,6 +17,7 @@ same flag.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 
@@ -272,8 +273,9 @@ def run_exhaustive(max_n: int = 6, jobs: int = 1) -> dict:
         chunk = max(512, total // (max(jobs, 1) * 8))
         tasks.extend((n, lo, min(lo + chunk, total))
                      for lo in range(0, total, chunk))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_exhaustive_chunk, tasks))
     else:
         outputs = [_exhaustive_chunk(t) for t in tasks]
@@ -370,11 +372,12 @@ _LINALG_UNIONS = ("cycle:3+path:2", "path:3+path:4", "complete:3+empty:2")
 
 def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
     """Kernel-support certificates and rank lower bounds on every family
-    instance of order <= max_n, plus a few disjoint unions whose Laplacian
-    kernels have dimension > 1."""
+    instance of order <= max_n, plus the few disjoint unions of order
+    <= max_n whose Laplacian kernels have dimension > 1."""
     result = _new_result("linalg", seed=seed, trials=trials, max_n=max_n)
     specs = default_family_specs(max_n)
-    specs.extend(parse_family(text) for text in _LINALG_UNIONS)
+    unions = (parse_family(text) for text in _LINALG_UNIONS)
+    specs.extend(spec for spec in unions if spec.order() <= max_n)
     for idx, spec in enumerate(specs):
         g = build_family(spec)
         in_table = spec.kind in _TABLE51_KINDS
@@ -447,6 +450,8 @@ def run_suite(name: str, *, seed: int = 0, jobs: int = 1,
     refused rather than ignored."""
     if name not in _SUITES:
         raise SuiteUsageError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if jobs < 1:
+        raise SuiteUsageError(f"--jobs must be at least 1, got {jobs}")
     runner, takes = _SUITES[name]
     flags = {"seed": seed, "jobs": jobs, "max_n": max_n, "budget": budget}
     for flag in ("max_n", "budget"):

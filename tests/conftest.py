@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 from hypothesis import strategies as st
 
-from forcekit.forcing import Rule
+from forcekit.forcing import Rule, can_force_into
 from forcekit.graphs import (
     Graph,
     bits,
@@ -69,6 +70,17 @@ def reference_closure(g, blue, rule):
         if move is None:
             return sum(1 << v for v in blue_set)
         blue_set.add(move)
+
+
+def ascending_min_fort(g: Graph, rule: Rule) -> int:
+    """The literal minimum-fort scan: sizes ascending, combinations in
+    lexicographic order, the first set whose complement admits no force."""
+    for k in range(1, g.n + 1):
+        for combo in combinations(range(g.n), k):
+            w = mask_of(combo)
+            if not can_force_into(g, w, rule):
+                return w
+    raise AssertionError("V itself is a fort")
 
 
 def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import forcekit.suites as suites
 from forcekit.cli import main
+from forcekit.graphs import build_family
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +151,36 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "linalg",
                                "--max-n", "0", "--jobs", "1", "--json")
         assert code == 0 and json.loads(out)["params"]["max_n"] == 0
+
+    def test_jobs_defaults_to_one(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "table1",
+                               "--max-n", "3", "--json")
+        assert code == 0 and json.loads(out)["jobs"] == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "verify", "--suite", "exhaustive6",
+                                 "--max-n", "3", "--jobs", jobs, "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("max_n", [0, 5])
+    def test_linalg_checks_no_spec_above_max_n(self, capsys, monkeypatch,
+                                               max_n):
+        built = []
+
+        def recording_build(spec):
+            built.append(spec)
+            return build_family(spec)
+
+        monkeypatch.setattr(suites, "build_family", recording_build)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "linalg",
+                               "--max-n", str(max_n), "--json")
+        assert code == 0 and json.loads(out)["params"]["max_n"] == max_n
+        assert all(spec.order() <= max_n for spec in built)
+        unions = {spec.label() for spec in built if spec.kind == "union"}
+        assert unions == ({"cycle:3+path:2", "complete:3+empty:2"}
+                          if max_n == 5 else set())
 
     def test_reports_known_discrepancies(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "table51",

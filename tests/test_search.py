@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forcekit.forcing import Rule, is_failed_set, is_forcing_set, is_stalled
+from forcekit.formulas import EXACT, predicted_F, predicted_Fplus
 from forcekit.graphs import bits, build_family, parse_family
 from forcekit.search import (
+    DEFAULT_BUDGET,
     SearchBudgetExceeded,
     brute_failed_number,
     enumerate_maximal_failed,
@@ -17,7 +19,14 @@ from forcekit.search import (
     zero_forcing_number,
 )
 
-from conftest import graph_with_subset, graphs, reference_closure, seeded_random_graph
+from conftest import (
+    ascending_min_fort,
+    graph_from_edge_mask,
+    graph_with_subset,
+    graphs,
+    reference_closure,
+    seeded_random_graph,
+)
 
 BOTH = (Rule.STANDARD, Rule.PSD)
 
@@ -148,6 +157,35 @@ class TestMinFort:
         g, w = gs
         assert is_fort(g, w, rule) == literal_is_fort(g, w, rule)
 
+    @pytest.mark.parametrize("rule", BOTH)
+    def test_matches_ascending_scan_on_every_small_graph(self, rule):
+        for n in range(1, 6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = graph_from_edge_mask(n, mask)
+                assert min_fort(g, rule) == ascending_min_fort(g, rule), (n, mask)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=9), st.sampled_from(BOTH))
+    def test_matches_ascending_scan_property(self, g, rule):
+        assert min_fort(g, rule) == ascending_min_fort(g, rule)
+
+    @pytest.mark.parametrize("rule", BOTH)
+    def test_matches_ascending_scan_on_random_graphs(self, rule):
+        for seed in range(40):
+            g = seeded_random_graph(seed, 10 + seed % 4)
+            assert min_fort(g, rule) == ascending_min_fort(g, rule), seed
+
+    @pytest.mark.parametrize("text,rule,nodes", [
+        ("wheel:9", Rule.STANDARD, 113),
+        ("wheel:9", Rule.PSD, 117),
+        ("hypercube:4", Rule.STANDARD, 431),
+        ("hypercube:4", Rule.PSD, 796),
+    ])
+    def test_node_counts_do_not_grow(self, text, rule, nodes):
+        # The budget counts search nodes, which do not depend on the
+        # machine, so a weaker prune shows here while the witness stays right.
+        min_fort(fam(text), rule, budget=nodes)
+
     def test_no_smaller_fort(self):
         g = fam("cycle:6")
         for rule in BOTH:
@@ -177,6 +215,21 @@ class TestFailedNumber:
                 assert res.witness.bit_count() == res.value
                 assert is_failed_set(g, res.witness, rule)
                 assert is_stalled(g, res.witness, rule)
+
+    @pytest.mark.parametrize("text,rule", [
+        ("path:30", Rule.STANDARD),
+        ("wheel:30", Rule.STANDARD),
+        ("wheel:30", Rule.PSD),
+        ("cycle:30", Rule.PSD),
+    ])
+    def test_order_30_within_default_budget(self, text, rule):
+        spec = parse_family(text)
+        g = build_family(spec)
+        res = failed_number(g, rule, DEFAULT_BUDGET)
+        pred = (predicted_F if rule is Rule.STANDARD else predicted_Fplus)(spec)
+        assert pred.exactness == EXACT and res.value == pred.value
+        assert is_failed_set(g, res.witness, rule)
+        assert is_stalled(g, res.witness, rule)
 
     def test_subsets_of_witness_failed(self):
         g = fam("wheel:7")
@@ -243,6 +296,20 @@ class TestMaximalFailed:
             sizes = [s.bit_count()
                      for s in enumerate_maximal_failed(g, rule)]
             assert max(sizes) == best
+
+
+class TestWitnesses:
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(max_n=8), st.sampled_from(BOTH))
+    def test_every_witness_verifies(self, g, rule):
+        z = zero_forcing_number(g, rule)
+        failed = (failed_number(g, rule), brute_failed_number(g, rule))
+        for res in (z, *failed):
+            assert res.witness.bit_count() == res.value
+        assert is_forcing_set(g, z.witness, rule)
+        for res in failed:
+            assert is_failed_set(g, res.witness, rule)
+            assert is_stalled(g, res.witness, rule)
 
 
 class TestCrossParameterInvariants:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import forcekit.suites as suites
 from forcekit.forcing import Rule
 from forcekit.graphs import disjoint_union
 from forcekit.suites import (
@@ -80,6 +81,36 @@ class TestExhaustive:
         parallel["params"]["jobs"] = 1  # only the recorded setting differs
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel,
                                                                 sort_keys=True)
+
+    @pytest.mark.parametrize("jobs,cpus,workers", [
+        (64, 8, 3),     # three tasks at max_n = 3
+        (64, 2, 2),
+        (2, 8, 2),
+        (1, 8, None),
+        (4, 1, None),
+    ])
+    def test_pool_capped_by_tasks_and_cpus(self, monkeypatch, jobs, cpus,
+                                           workers):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
+        res = run_exhaustive(max_n=3, jobs=jobs)
+        assert pools == ([workers] if workers else [])
+        assert res["ok"] and res["params"]["jobs"] == jobs
 
 
 class TestDisconnected:
