@@ -1,10 +1,10 @@
 """Exact extremal search: minimum forcing sets and maximum failed sets.
 
-Minimum forcing sets come from a cardinality-ascending subset search pruned
-by closures.  Maximum failed sets come from minimum-fort search: a fort is a
-nonempty vertex set W whose complement is stalled, so the failed number is
-n - |minimum fort|, found by a depth-first search that prunes with
-necessary conditions of the fort definition.  The descending scan of
+Minimum forcing sets come from a depth-first branch-and-bound over subsets
+pruned by closures.  Maximum failed sets come from minimum-fort search: a
+fort is a nonempty vertex set W whose complement is stalled, so the failed
+number is n - |minimum fort|, found by a depth-first search that prunes
+with necessary conditions of the fort definition.  The descending scan of
 failed sets survives as ``brute_failed_number``, the independent oracle.
 """
 
@@ -37,18 +37,21 @@ def resolve_budget(budget: int | None) -> int:
 
 
 class _Budget:
-    __slots__ = ("left", "what")
+    # progress: how far the search got, for the error message; a search
+    # updates it whenever that changes
+    __slots__ = ("left", "what", "progress")
 
-    def __init__(self, limit: int, what: str):
+    def __init__(self, limit: int, what: str, progress: str = ""):
         self.left = limit
         self.what = what
+        self.progress = progress
 
     def spend(self, units: int = 1) -> None:
         self.left -= units
         if self.left < 0:
             raise SearchBudgetExceeded(
-                f"{self.what}: candidate budget exhausted (raise --budget "
-                "or FORCEKIT_BUDGET, or shrink the instance)")
+                f"{self.what}: candidate budget exhausted{self.progress} "
+                "(raise --budget or FORCEKIT_BUDGET, or shrink the instance)")
 
 
 @dataclass(frozen=True)
@@ -76,37 +79,36 @@ def zero_forcing_number(g: Graph, rule: Rule,
     """Smallest k admitting a forcing set of size k, with the
     lexicographically least witness.
 
-    Subsets are explored in ascending cardinality, lexicographic within each
-    size; a partial set is only extended by vertices outside its closure
-    (any minimum forcing set survives this pruning: a member inside the
-    closure of the others could be dropped).  A node's closure is computed
-    from ``start``, its parent's closure plus the new vertex, instead of from
-    the prefix: both rules are monotone and idempotent, so
-    cl(S + v) = cl(cl(S) + v).
+    One depth-first branch-and-bound walks the subsets in lexicographic
+    preorder.  A partial set is only extended by vertices above its last one
+    and outside its closure (a member of a minimum forcing set is never in
+    the closure of the others), and only while its children stay smaller
+    than the least forcing set found so far.  Preorder meets the sets of one
+    size in lexicographic order, so the first one of minimum size found is
+    the least.  A child's closure is cl(cl(S) + v), which is cl(S + v).
     """
-    tracker = _Budget(resolve_budget(budget), "zero_forcing_number")
+    tracker = _Budget(resolve_budget(budget), "zero_forcing_number",
+                      "; no forcing set found yet")
     n = g.n
     full = g.full_mask
+    best, witness = n + 1, full  # the incumbent
 
-    def extend(prefix: VertexSet, start: VertexSet, last: int, size: int,
-               k: int) -> VertexSet | None:
+    def extend(prefix: VertexSet, start: VertexSet, last: int, size: int):
+        nonlocal best, witness
         tracker.spend()
         cl = derived_set(g, start, rule)
-        if size == k:
-            return prefix if cl == full else None
+        if cl == full:  # every node is created below the incumbent's size
+            best, witness = size, prefix
+            tracker.progress = f"; smallest forcing set so far: {size} vertices"
+            return
         for v in range(last + 1, n):
-            if cl & (1 << v):
-                continue
-            found = extend(prefix | (1 << v), cl | (1 << v), v, size + 1, k)
-            if found is not None:
-                return found
-        return None
+            if size + 1 >= best:
+                return
+            if not cl & (1 << v):
+                extend(prefix | (1 << v), cl | (1 << v), v, size + 1)
 
-    for k in range(1, n + 1):
-        witness = extend(0, 0, -1, 0, k)
-        if witness is not None:
-            return ExtremalResult(k, witness, rule, "min-forcing", "subset-search")
-    raise AssertionError("the full vertex set always forces")
+    extend(0, 0, -1, 0)
+    return ExtremalResult(best, witness, rule, "min-forcing", "subset-search")
 
 
 def _ascending_subsets(n: int, tracker: _Budget):
@@ -243,6 +245,7 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
         return None
 
     for k in range(1, n + 1):
+        tracker.progress = f"; searching forts of {k} vertices, none is smaller"
         w = grow(0, 0, 0, k, 0)
         if w is not None:
             return w

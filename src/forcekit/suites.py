@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 from .forcing import Rule
 from .formulas import (
@@ -65,6 +64,14 @@ _TABLE51_KINDS = ("path", "cycle", "complete", "hypercube", "wheel",
 # exhaustive6 scans 2^(n(n-1)/2) labeled graphs per order n: about 2.1M at
 # n = 7, 2^28 at n = 8.
 _EXHAUSTIVE_MAX_N = 7
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use: only
+    a run with jobs > 1 starts a pool, and importing multiprocessing costs
+    every process about 1.4 MB of memory."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 class SuiteUsageError(ValueError):

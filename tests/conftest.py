@@ -3,7 +3,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from forcekit.forcing import Rule, can_force_into
+from forcekit.forcing import Rule, can_force_into, derived_set
 from forcekit.graphs import (
     Graph,
     bits,
@@ -81,6 +81,31 @@ def ascending_min_fort(g: Graph, rule: Rule) -> int:
             if not can_force_into(g, w, rule):
                 return w
     raise AssertionError("V itself is a fort")
+
+
+def ascending_zero_forcing(g: Graph, rule: Rule) -> tuple[int, int]:
+    """The iterative-deepening forcing-set search: for k = 1, 2, ... walk
+    the closure-pruned subsets of size at most k in lexicographic preorder;
+    the first k-set whose closure is V is the witness."""
+    full = g.full_mask
+
+    def extend(prefix, start, last, size, k):
+        cl = derived_set(g, start, rule)
+        if size == k:
+            return prefix if cl == full else None
+        for v in range(last + 1, g.n):
+            if not cl & (1 << v):
+                found = extend(prefix | (1 << v), cl | (1 << v), v,
+                               size + 1, k)
+                if found is not None:
+                    return found
+        return None
+
+    for k in range(1, g.n + 1):
+        witness = extend(0, 0, -1, 0, k)
+        if witness is not None:
+            return k, witness
+    raise AssertionError("the full vertex set always forces")
 
 
 def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:

@@ -99,6 +99,15 @@ class TestAnalyze:
                                "--budget", "0")
         assert code == 3 and "budget" in err
 
+    def test_budget_error_says_how_far(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--family", "hypercube:5",
+                                 "--budget", "100000")
+        assert code == 3 and out == ""
+        assert err == ("error: zero_forcing_number: candidate budget "
+                       "exhausted; smallest forcing set so far: 16 vertices "
+                       "(raise --budget or FORCEKIT_BUDGET, or shrink the "
+                       "instance)\n")
+
     def test_timings_flag_adds_fields(self, capsys):
         _, out, _ = run_cli(capsys, "analyze", "--family", "path:4",
                             "--timings", "--json")

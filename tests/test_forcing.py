@@ -95,6 +95,17 @@ class TestClosure:
         sup_closure = derived_set(g, big, rule)
         assert sub_closure & ~sup_closure == 0
 
+    @settings(max_examples=100)
+    @given(graph_with_subset(max_n=8), st.integers(0, 7),
+           st.sampled_from(BOTH))
+    def test_incremental_closure(self, gs, v, rule):
+        # cl(cl(S) + v) == cl(S + v): the minimum-forcing-set search builds
+        # each node's closure from its parent's
+        g, sub = gs
+        bit = 1 << (v % g.n)
+        assert (derived_set(g, derived_set(g, sub, rule) | bit, rule)
+                == derived_set(g, sub | bit, rule))
+
     @settings(max_examples=80)
     @given(graph_with_subset())
     def test_standard_within_psd(self, gs):

@@ -21,6 +21,7 @@ from forcekit.search import (
 
 from conftest import (
     ascending_min_fort,
+    ascending_zero_forcing,
     graph_from_edge_mask,
     graph_with_subset,
     graphs,
@@ -121,6 +122,49 @@ class TestZeroForcingNumber:
         with pytest.raises(SearchBudgetExceeded):
             zero_forcing_number(fam("hypercube:4"), Rule.STANDARD, budget=10)
 
+    @pytest.mark.parametrize("budget,progress", [
+        (0, "no forcing set found yet"),
+        (100, "smallest forcing set so far: 8 vertices"),
+    ])
+    def test_budget_error_says_how_far(self, budget, progress):
+        # the first path of the search reaches a forcing set within 10 nodes
+        with pytest.raises(SearchBudgetExceeded, match=progress):
+            zero_forcing_number(fam("hypercube:4"), Rule.STANDARD, budget)
+
+    @pytest.mark.parametrize("rule", BOTH)
+    def test_matches_ascending_search_on_every_small_graph(self, rule):
+        for n in range(1, 6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = graph_from_edge_mask(n, mask)
+                res = zero_forcing_number(g, rule)
+                assert ((res.value, res.witness)
+                        == ascending_zero_forcing(g, rule)), (n, mask)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=9), st.sampled_from(BOTH))
+    def test_matches_ascending_search_property(self, g, rule):
+        res = zero_forcing_number(g, rule)
+        assert (res.value, res.witness) == ascending_zero_forcing(g, rule)
+
+    @pytest.mark.parametrize("rule", BOTH)
+    def test_matches_ascending_search_on_random_graphs(self, rule):
+        for seed in range(40):
+            g = seeded_random_graph(seed, 10 + seed % 4)
+            res = zero_forcing_number(g, rule)
+            assert ((res.value, res.witness)
+                    == ascending_zero_forcing(g, rule)), seed
+
+    @pytest.mark.parametrize("text,rule,nodes", [
+        ("hypercube:4", Rule.STANDARD, 25_231),
+        ("hypercube:4", Rule.PSD, 25_113),
+        ("biclique:7,7", Rule.STANDARD, 16_203),
+        ("biclique:7,7", Rule.PSD, 6_477),
+    ])
+    def test_node_counts_do_not_grow(self, text, rule, nodes):
+        # One node is one unit of budget and does not depend on the machine,
+        # so a search that walks a subset twice or prunes less fails here.
+        zero_forcing_number(fam(text), rule, budget=nodes)
+
     def test_env_budget_override(self, monkeypatch):
         from forcekit.search import DEFAULT_BUDGET, resolve_budget
         monkeypatch.setenv("FORCEKIT_BUDGET", "5")
@@ -185,6 +229,12 @@ class TestMinFort:
         # The budget counts search nodes, which do not depend on the
         # machine, so a weaker prune shows here while the witness stays right.
         min_fort(fam(text), rule, budget=nodes)
+
+    def test_budget_error_names_the_size_searched(self):
+        # path:40 has no fort of fewer than 21 vertices
+        with pytest.raises(SearchBudgetExceeded,
+                           match="searching forts of 5 vertices, none is smaller"):
+            min_fort(fam("path:40"), Rule.STANDARD, budget=1000)
 
     def test_no_smaller_fort(self):
         g = fam("cycle:6")

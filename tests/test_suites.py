@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import forcekit
 import forcekit.suites as suites
 from forcekit.forcing import Rule
 from forcekit.graphs import disjoint_union
@@ -111,6 +116,17 @@ class TestExhaustive:
         res = run_exhaustive(max_n=3, jobs=jobs)
         assert pools == ([workers] if workers else [])
         assert res["ok"] and res["params"]["jobs"] == jobs
+
+    def test_import_does_not_load_multiprocessing(self):
+        # only a run with jobs > 1 needs a process pool
+        src = str(Path(forcekit.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, forcekit, forcekit.cli, forcekit.suites; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'multiprocessing'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
 
 class TestDisconnected:
