@@ -5,19 +5,19 @@ Three commands: ``analyze`` computes forcing parameters of one graph,
 number summary tables with computed confirmation columns.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input or usage,
-3 search budget exhausted.
+3 search budget exhausted, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from .forcing import Rule
 from .formulas import (
-    EXACT,
     UnsupportedFamilyError,
     predicted_F,
     predicted_failed_union,
@@ -38,13 +38,14 @@ from .search import (
     resolve_budget,
     zero_forcing_number,
 )
-from .suites import SUITE_NAMES, SuiteUsageError, run_suite
+from .suites import SUITE_NAMES, SuiteUsageError, failed_number_check, run_suite
 from .theorems import TheoremReport
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +293,6 @@ def _table_rows(which: int):
 def _table(args) -> int:
     which = args.which
     rule = Rule.STANDARD if which == 1 else Rule.PSD
-    predict = predicted_F if which == 1 else predicted_Fplus
     param = "F(G)" if which == 1 else "F+(G)"
     eq = "F(G)=mr(G)?" if which == 1 else "F+(G)=mr+(G)?"
     header = f"{'G':<18} {param:<18} {eq:<14} computed"
@@ -302,13 +302,11 @@ def _table(args) -> int:
         verified = 0
         notes = []
         for spec in specs:
-            pred = predict(spec)
-            got = failed_number(build_family(spec), rule).value
-            ok = got == pred.value if pred.exactness == EXACT else got >= pred.value
-            if ok:
+            check = failed_number_check(spec, rule)
+            if check["pass"]:
                 verified += 1
             else:
-                notes.append(f"{spec.label()}={got}")
+                notes.append(f"{spec.label()}={check['observed']}")
         status = f"ok ({verified}/{len(specs)} instances)"
         if notes:
             status = "MISMATCH " + ",".join(notes)
@@ -324,12 +322,17 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: bad --budget or FORCEKIT_BUDGET: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    commands = {"analyze": _analyze, "verify": _verify, "table": _table}
     try:
-        if args.command == "analyze":
-            return _analyze(args)
-        if args.command == "verify":
-            return _verify(args)
-        return _table(args)
+        code = commands[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away, as under `forcekit table --which 2 | head -1`.
+        # Point stdout at devnull so the exit flush cannot fail again, and
+        # exit as a shell reports a writer ended by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (FamilyError, GraphFormatError, SuiteUsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

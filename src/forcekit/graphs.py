@@ -137,6 +137,9 @@ class FamilySpec:
                 f"{self.kind} takes {_FAMILY_ARITY[self.kind]} parameter(s), "
                 f"got {len(self.params)}")
         _check_family_bounds(self.kind, self.params)
+        if self.order() > MAX_VERTICES:
+            raise FamilyError(f"{self.kind}{self.params} has {self.order()} "
+                              f"vertices > {MAX_VERTICES}")
 
     def order(self) -> int:
         """Number of vertices of the generated instance."""
@@ -171,16 +174,6 @@ def _check_family_bounds(kind: str, params: tuple[int, ...]) -> None:
             raise FamilyError("marytree arity must be >= 2")
         if n < 1:
             raise FamilyError("marytree needs at least one vertex")
-    if kind == "hypercube":
-        order = 1 << params[0]
-    elif kind == "halfgraph":
-        order = 2 * params[0]
-    elif kind == "biclique":
-        order = params[0] + params[1]
-    else:
-        order = params[-1]
-    if order > MAX_VERTICES:
-        raise FamilyError(f"{kind}{params} has {order} vertices > {MAX_VERTICES}")
 
 
 def parse_family(text: str) -> FamilySpec:

@@ -9,10 +9,11 @@ and checks those certificates against the forcing engine, plus a sanity
 bound: every pattern matrix has rank at least the family's tabulated
 minimum rank.
 
-Tolerances: singular values below 1e-9 of the largest are kernel
-directions; coordinates below 1e-7 of a vector's max magnitude count as
-zero.  Sampled entries are O(1), so both thresholds sit well clear of
-rounding noise at these dimensions.
+Tolerances are fixed module constants: singular values below 1e-9 of the
+largest are kernel directions (KERNEL_TOL); coordinates below 1e-7 of a
+vector's max magnitude count as zero (SUPPORT_TOL); entries above 1e-12
+are nonzero in the pattern (PATTERN_TOL).  Sampled entries are O(1), so
+the thresholds sit well clear of rounding noise at these dimensions.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .theorems import TheoremReport
 KERNEL_TOL = 1e-9
 SUPPORT_TOL = 1e-7
 PATTERN_TOL = 1e-12
+_PIVOT_TOL = 1e-10
+
+RANK_BOUND = "Table 5.1 rank bound"
 
 
 class PatternMismatchError(ValueError):
@@ -50,28 +54,33 @@ class PatternMatrix:
             raise PatternMismatchError(f"matrix shape {a.shape} for n={n}")
         if not np.allclose(a, a.T, atol=PATTERN_TOL):
             raise PatternMismatchError("matrix is not symmetric")
-        for i in range(n):
-            for j in range(i + 1, n):
-                edge = bool(self.graph.adj[i] & (1 << j))
-                nonzero = abs(a[i, j]) > PATTERN_TOL
-                if edge != nonzero:
-                    raise PatternMismatchError(
-                        f"entry ({i},{j}) {'zero' if edge else 'nonzero'} "
-                        "contradicts the graph pattern")
+        rows, cols = _edge_positions(self.graph)
+        edge = np.zeros((n, n), dtype=bool)
+        edge[rows, cols] = True
+        wrong = np.argwhere(np.triu(edge != (np.abs(a) > PATTERN_TOL), 1))
+        if len(wrong):
+            i, j = wrong[0]
+            raise PatternMismatchError(
+                f"entry ({i},{j}) {'zero' if edge[i, j] else 'nonzero'} "
+                "contradicts the graph pattern")
+
+
+def _edge_positions(g: Graph) -> np.ndarray:
+    """Rows and columns (i < j) of g's edges in row-major order, 2 x m."""
+    return np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
 
 
 def sample_pattern_matrix(g: Graph, seed) -> PatternMatrix:
     """Random symmetric matrix fitting g: edge entries uniform over
     [-2,-0.5] u [0.5,2], free diagonal uniform over [-2,2]."""
     rng = np.random.default_rng(seed)
-    n = g.n
-    a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g.adj[i] & (1 << j):
-                val = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
-                a[i, j] = a[j, i] = val
-    a[np.diag_indices(n)] = rng.uniform(-2.0, 2.0, size=n)
+    rows, cols = _edge_positions(g)
+    # A magnitude and then a sign per edge, in row-major order.  The sign is
+    # the draw rng.choice((-1.0, 1.0)) makes, without its per-call setup.
+    values = [rng.uniform(0.5, 2.0) * (-1.0, 1.0)[rng.integers(2)] for _ in rows]
+    a = np.zeros((g.n, g.n))
+    a[rows, cols] = a[cols, rows] = values
+    a[np.diag_indices(g.n)] = rng.uniform(-2.0, 2.0, size=g.n)
     return PatternMatrix(g, a)
 
 
@@ -95,46 +104,42 @@ def weighted_laplacian(g: Graph, seed,
     semidefinite by construction, pattern g, nullity = component count."""
     rng = np.random.default_rng(seed)
     lo, hi = weight_range
-    n = g.n
-    a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g.adj[i] & (1 << j):
-                w = lo if lo == hi else rng.uniform(lo, hi)
-                a[i, j] = a[j, i] = -w
-    for i in range(n):
-        a[i, i] = -a[i].sum() + a[i, i]
-    return PatternMatrix(g, a, psd=True)
+    rows, cols = _edge_positions(g)
+    w = np.zeros((g.n, g.n))
+    w[rows, cols] = w[cols, rows] = (lo if lo == hi
+                                     else rng.uniform(lo, hi, size=len(rows)))
+    return PatternMatrix(g, np.diag(w.sum(1)) - w, psd=True)
 
 
-def kernel_basis(matrix: PatternMatrix, tol: float = KERNEL_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical kernel: singular directions whose
-    singular value falls below tol times the largest one."""
-    a = matrix.entries
-    _, sigma, vt = np.linalg.svd(a)
-    top = sigma[0] if sigma.size else 0.0
-    if top <= 0.0:
-        return [np.eye(matrix.graph.n)[:, i] for i in range(matrix.graph.n)]
-    return [vt[i] for i in range(len(sigma)) if sigma[i] < tol * top]
+def _kernel_directions(matrix: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Right singular vectors (rows), and which of them span the numerical
+    kernel: singular value below KERNEL_TOL times the largest one.  The
+    zero matrix's kernel is the standard basis."""
+    _, sigma, vt = np.linalg.svd(matrix.entries)
+    if sigma[0] <= 0.0:
+        return np.eye(matrix.graph.n), np.ones(matrix.graph.n, dtype=bool)
+    return vt, sigma < KERNEL_TOL * sigma[0]
 
 
-def numerical_rank(matrix: PatternMatrix, tol: float = KERNEL_TOL) -> int:
-    sigma = np.linalg.svd(matrix.entries, compute_uv=False)
-    top = sigma[0] if sigma.size else 0.0
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(sigma >= tol * top))
+def kernel_basis(matrix: PatternMatrix) -> list[np.ndarray]:
+    """Orthonormal basis of the numerical kernel."""
+    vt, kernel = _kernel_directions(matrix)
+    return list(vt[kernel])
 
 
-def support_zero_set(x: np.ndarray, tol: float = SUPPORT_TOL) -> int:
+def numerical_rank(matrix: PatternMatrix) -> int:
+    return int(np.count_nonzero(~_kernel_directions(matrix)[1]))
+
+
+def support_zero_set(x: np.ndarray) -> int:
     """Bitmask of coordinates that vanish relative to the largest one."""
     peak = np.max(np.abs(x))
     if peak == 0.0:
         raise ValueError("zero vector has no support")
-    return mask_of(i for i, xi in enumerate(x) if abs(xi) <= tol * peak)
+    return mask_of(np.flatnonzero(np.abs(x) <= SUPPORT_TOL * peak).tolist())
 
 
-def _sparsify(basis: list[np.ndarray], tol: float = 1e-10) -> list[np.ndarray]:
+def _sparsify(basis: list[np.ndarray]) -> list[np.ndarray]:
     """Row-reduce the basis to kernel vectors of small support (for
     block-diagonal matrices this recovers per-component vectors)."""
     rows = np.array(basis, dtype=float)
@@ -142,12 +147,12 @@ def _sparsify(basis: list[np.ndarray], tol: float = 1e-10) -> list[np.ndarray]:
     r = 0
     for c in range(n):
         pivot = r + int(np.argmax(np.abs(rows[r:, c])))
-        if abs(rows[pivot, c]) < tol:
+        if abs(rows[pivot, c]) < _PIVOT_TOL:
             continue
         rows[[r, pivot]] = rows[[pivot, r]]
         rows[r] /= rows[r, c]
         for i in range(m):
-            if i != r and abs(rows[i, c]) > tol:
+            if i != r and abs(rows[i, c]) > _PIVOT_TOL:
                 rows[i] -= rows[i, c] * rows[r]
         r += 1
         if r == m:
@@ -169,11 +174,11 @@ def support_implies_failed(g: Graph, matrix: PatternMatrix, rule: Rule,
         raise PatternMismatchError("matrix was built for a different graph")
     if rule is Rule.PSD and not matrix.psd:
         raise PatternMismatchError("PSD-rule certificates need a PSD matrix")
+    theorem = "Cor 2.10" if rule is Rule.STANDARD else "Prop 2.12"
     basis = kernel_basis(matrix)
     name = f"n={g.n} kernel dim {len(basis)}"
     if not basis:
-        return TheoremReport("Cor 2.10" if rule is Rule.STANDARD else "Prop 2.12",
-                             name, "all failed", "trivial kernel", True)
+        return TheoremReport(theorem, name, "all failed", "trivial kernel", True)
     vectors = list(basis) + _sparsify(basis)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
@@ -182,17 +187,14 @@ def support_implies_failed(g: Graph, matrix: PatternMatrix, rule: Rule,
         if norm < 1e-12:
             continue
         vectors.append((coeffs / norm) @ np.array(basis))
-    checked = 0
     for x in vectors:
         zero_set = support_zero_set(x)
         if not is_failed_set(g, zero_set, rule):
-            return TheoremReport(
-                "Cor 2.10" if rule is Rule.STANDARD else "Prop 2.12",
-                name, "all failed",
-                f"zero set {zero_set:#x} of a kernel vector forces", False)
-        checked += 1
-    return TheoremReport("Cor 2.10" if rule is Rule.STANDARD else "Prop 2.12",
-                         name, "all failed", f"{checked} vectors failed", True)
+            return TheoremReport(theorem, name, "all failed",
+                                 f"zero set {zero_set:#x} of a kernel vector forces",
+                                 False)
+    return TheoremReport(theorem, name, "all failed",
+                         f"{len(vectors)} vectors failed", True)
 
 
 def rank_lower_bound_check(spec: FamilySpec, matrix: PatternMatrix) -> TheoremReport:
@@ -202,7 +204,7 @@ def rank_lower_bound_check(spec: FamilySpec, matrix: PatternMatrix) -> TheoremRe
     rank = numerical_rank(matrix)
     bound = table51_value(spec, "mrplus" if matrix.psd else "mr")
     label = "mr+" if matrix.psd else "mr"
-    return TheoremReport("Table 5.1 rank bound", spec.label(),
+    return TheoremReport(RANK_BOUND, spec.label(),
                          f"rank >= {label} = {bound}",
                          f"rank = {rank}", rank >= bound)
 

@@ -38,6 +38,7 @@ from .graphs import (
     parse_family,
 )
 from .linalg import (
+    RANK_BOUND,
     rank_lower_bound_check,
     sample_pattern_matrix,
     shifted_singular_matrix,
@@ -148,20 +149,23 @@ def _finish(result: dict) -> dict:
 # Table reproduction suites
 # ---------------------------------------------------------------------------
 
+def failed_number_check(spec: FamilySpec, rule: Rule,
+                        budget: int | None = None) -> dict:
+    """The computed failed number of a family instance against its closed
+    form: equal to an exact form, at least a lower bound."""
+    pred = (predicted_F if rule is Rule.STANDARD else predicted_Fplus)(spec)
+    got = failed_number(build_family(spec), rule, budget).value
+    exact = pred.exactness == EXACT
+    return {"graph": spec.label(), "theorem": pred.source,
+            "expected": f"{'=' if exact else '>='} {pred.value}", "observed": got,
+            "pass": got == pred.value if exact else got >= pred.value}
+
+
 def _run_failed_table(suite: str, rule: Rule, max_n: int | None,
                       budget: int | None) -> dict:
-    predict = predicted_F if rule is Rule.STANDARD else predicted_Fplus
     result = _new_result(suite, max_n=max_n)
     for spec in default_family_specs(max_n):
-        g = build_family(spec)
-        pred = predict(spec)
-        got = failed_number(g, rule, budget).value
-        ok = got == pred.value if pred.exactness == EXACT else got >= pred.value
-        relation = "=" if pred.exactness == EXACT else ">="
-        _record(result, {
-            "graph": spec.label(), "theorem": pred.source,
-            "expected": f"{relation} {pred.value}", "observed": got, "pass": ok,
-        })
+        _record(result, failed_number_check(spec, rule, budget))
     return _finish(result)
 
 
@@ -349,24 +353,20 @@ def run_disconnected(seed: int = 0, trials: int = 200,
                 "expected": composed, "observed": direct,
                 "pass": composed == direct,
             })
-    # Lower bounds from a path or cycle component.
+    # Prop 4.3: a path component P_k bounds F+ below by n - k, a cycle
+    # component C_k by n - k + 1.
     for trial in range(20):
         h = random_connected_graph(rng, rng.randint(2, 6))
-        k = rng.randint(2, 5)
-        g = disjoint_union(h, build_family(FamilySpec("path", (k,))))
-        fp = failed_number(g, Rule.PSD).value
-        _record(result, {
-            "graph": f"pk-union#{trial} n={g.n} k={k}", "theorem": "Prop 4.3",
-            "expected": f">= {g.n - k}", "observed": fp, "pass": fp >= g.n - k,
-        })
-        m = rng.randint(3, 5)
-        g = disjoint_union(h, build_family(FamilySpec("cycle", (m,))))
-        fp = failed_number(g, Rule.PSD).value
-        _record(result, {
-            "graph": f"cm-union#{trial} n={g.n} m={m}", "theorem": "Prop 4.3",
-            "expected": f">= {g.n - m + 1}", "observed": fp,
-            "pass": fp >= g.n - m + 1,
-        })
+        for kind, label, lo, hi, slack in (("path", "pk-union#{} n={} k={}", 2, 5, 0),
+                                           ("cycle", "cm-union#{} n={} m={}", 3, 5, 1)):
+            k = rng.randint(lo, hi)
+            g = disjoint_union(h, build_family(FamilySpec(kind, (k,))))
+            fp = failed_number(g, Rule.PSD).value
+            bound = g.n - k + slack
+            _record(result, {
+                "graph": label.format(trial, g.n, k), "theorem": "Prop 4.3",
+                "expected": f">= {bound}", "observed": fp, "pass": fp >= bound,
+            })
     return _finish(result)
 
 
@@ -388,35 +388,21 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
     for idx, spec in enumerate(specs):
         g = build_family(spec)
         in_table = spec.kind in _TABLE51_KINDS
-        support_ok = 0
-        rank_ok = 0
-        rank_total = 0
-        bad = []
+        reports = []
         for t in range(trials):
             sampled = sample_pattern_matrix(g, [seed, idx, t, 0])
             singular = shifted_singular_matrix(g, [seed, idx, t, 1])
             laplacian = weighted_laplacian(g, [seed, idx, t, 2])
-            std_target = singular if t % 2 else sampled
-            rep = support_implies_failed(g, std_target, Rule.STANDARD,
-                                         trials=3, seed=[seed, idx, t, 3])
-            if rep.passed:
-                support_ok += 1
-            else:
-                bad.append(rep.as_dict())
-            rep = support_implies_failed(g, laplacian, Rule.PSD,
-                                         trials=3, seed=[seed, idx, t, 4])
-            if rep.passed:
-                support_ok += 1
-            else:
-                bad.append(rep.as_dict())
+            reports.append(support_implies_failed(
+                g, singular if t % 2 else sampled, Rule.STANDARD,
+                trials=3, seed=[seed, idx, t, 3]))
+            reports.append(support_implies_failed(
+                g, laplacian, Rule.PSD, trials=3, seed=[seed, idx, t, 4]))
             if in_table:
-                for matrix in (sampled, singular, laplacian):
-                    rank_total += 1
-                    rep = rank_lower_bound_check(spec, matrix)
-                    if rep.passed:
-                        rank_ok += 1
-                    else:
-                        bad.append(rep.as_dict())
+                reports.extend(rank_lower_bound_check(spec, matrix)
+                               for matrix in (sampled, singular, laplacian))
+        rank_ok = sum(r.passed for r in reports if r.theorem == RANK_BOUND)
+        support_ok = sum(r.passed for r in reports) - rank_ok
         _record(result, {
             "graph": spec.label(), "theorem": "Cor 2.10 / Prop 2.12",
             "expected": f"{2 * trials} certificates pass",
@@ -424,11 +410,11 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
         })
         if in_table:
             _record(result, {
-                "graph": spec.label(), "theorem": "Table 5.1 rank bound",
-                "expected": f"{rank_total} bounds hold",
-                "observed": f"{rank_ok} held", "pass": rank_ok == rank_total,
+                "graph": spec.label(), "theorem": RANK_BOUND,
+                "expected": f"{3 * trials} bounds hold",
+                "observed": f"{rank_ok} held", "pass": rank_ok == 3 * trials,
             })
-        result["checks"].extend(bad[:5])
+        result["checks"].extend([r.as_dict() for r in reports if not r.passed][:5])
     return _finish(result)
 
 

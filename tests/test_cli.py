@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import forcekit
 import forcekit.suites as suites
 from forcekit.cli import main
 from forcekit.graphs import build_family
@@ -228,3 +233,21 @@ class TestTable:
         assert code == 0
         assert "iff s=4" in out and "2s-4" in out
         assert "MISMATCH" not in out
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_exits_141_without_a_word(self, unbuffered):
+        # as in `forcekit table --which 2 | head -1`, with the reader gone
+        # before the first write
+        env = dict(os.environ, PYTHONPATH=str(Path(forcekit.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "forcekit.cli", "table", "--which", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 141
+        assert err == b""

@@ -52,6 +52,28 @@ class TestSampling:
         b = sample_pattern_matrix(g, 7).entries
         assert np.array_equal(a, b)
 
+    # Entries as sampled by earlier releases: a seed names the same matrix
+    # from one version to the next.
+    @pytest.mark.parametrize("text,seed,rows", [
+        ("path:3", 0, [
+            [-1.9338894578858836, 1.4554425309821815, 0.0],
+            [1.4554425309821815, 1.2530809568010897, -0.5614602859042921],
+            [0.0, -0.5614602859042921, 1.6510223091108869]]),
+        ("wheel:5", 3, [
+            [-0.2774879183432888, -0.6284737507154365, 0.0,
+             -1.7019116978095954, -1.3732430540965517],
+            [-0.6284737507154365, 0.34719428575256295, -1.1496904103547108,
+             0.0, -1.218576947211251],
+            [0.0, -1.1496904103547108, 0.9513511491686408,
+             -1.6018657271138217, -0.6705080298821051],
+            [-1.7019116978095954, 0.0, -1.6018657271138217,
+             1.8250690193443941, -1.2751102739320455],
+            [-1.3732430540965517, -1.218576947211251, -0.6705080298821051,
+             -1.2751102739320455, -0.8631953450048342]]),
+    ])
+    def test_entries_are_stable_across_versions(self, text, seed, rows):
+        assert sample_pattern_matrix(fam(text), seed).entries.tolist() == rows
+
     def test_edge_magnitudes_in_band(self):
         m = sample_pattern_matrix(fam("complete:6"), seed=3)
         off = [abs(m.entries[i, j]) for i, j in pattern_of(m.entries)]
@@ -81,6 +103,17 @@ class TestValidation:
         with pytest.raises(PatternMismatchError):
             PatternMatrix(g, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
+    def test_names_first_wrong_entry_in_row_major_order(self):
+        # path 0-1-2: (0,2) is a nonzero non-edge, (1,2) a zero edge
+        entries = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(PatternMismatchError,
+                           match=r"^entry \(0,2\) nonzero contradicts"):
+            PatternMatrix(fam("path:3"), entries)
+        entries[0, 2] = entries[2, 0] = 0.0
+        with pytest.raises(PatternMismatchError,
+                           match=r"^entry \(1,2\) zero contradicts"):
+            PatternMatrix(fam("path:3"), entries)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(PatternMismatchError):
             PatternMatrix(fam("path:3"), np.zeros((2, 2)))
@@ -91,6 +124,20 @@ class TestLaplacian:
         m = weighted_laplacian(fam("cycle:4"), seed=0, weight_range=(1.0, 1.0))
         eig = np.sort(np.linalg.eigvalsh(m.entries))
         assert np.allclose(eig, [0.0, 2.0, 2.0, 4.0], atol=1e-9)
+
+    def test_entries_are_stable_across_versions(self):
+        m = weighted_laplacian(fam("wheel:5"), seed=3)
+        assert m.entries.tolist() == [
+            [3.1856012084191816, -0.6284737507154365, 0.0,
+             -0.8552157598941496, -1.7019116978095954],
+            [-0.6284737507154365, 2.6429097681725873, -1.3732430540965517,
+             0.0, -0.6411929633605988],
+            [0.0, -1.3732430540965517, 3.7415104116625137,
+             -1.1496904103547108, -1.218576947211251],
+            [-0.8552157598941496, 0.0, -1.1496904103547108,
+             2.7445145422044783, -0.7396083719556179],
+            [-1.7019116978095954, -0.6411929633605988, -1.218576947211251,
+             -0.7396083719556179, 4.301289980337064]]
 
     @pytest.mark.parametrize("text,comps", [
         ("wheel:7", 1), ("cycle:3+path:2", 2), ("empty:3", 3),
@@ -133,6 +180,9 @@ class TestKernelBasis:
     def test_zero_matrix_full_kernel(self):
         m = PatternMatrix(fam("empty:2"), np.zeros((2, 2)))
         assert len(kernel_basis(m)) == 2
+        # exactly the standard basis, in order
+        assert np.array_equal(np.array(kernel_basis(m)), np.eye(2))
+        assert numerical_rank(m) == 0
 
     def test_orthonormal(self):
         m = weighted_laplacian(fam("empty:3+path:2"), seed=9)

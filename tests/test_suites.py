@@ -24,6 +24,7 @@ from forcekit.suites import (
     run_table2,
     run_table51,
 )
+from forcekit.theorems import TheoremReport
 
 from conftest import maximal_failed_contains_compositions, run_oracle_equivalence
 
@@ -162,6 +163,36 @@ class TestLinalgSuite:
     def test_small_run(self):
         res = run_linalg(seed=11, trials=5, max_n=8)
         assert res["ok"] and res["failed"] == 0
+
+    def test_failures_are_counted_and_sampled(self, monkeypatch):
+        # every PSD certificate and every rank bound fails; each instance
+        # keeps its first five failed reports, in trial order
+        rank_calls = []
+
+        def certificate(g, matrix, rule, trials, seed):
+            _, idx, t, _ = seed
+            return TheoremReport(rule.value, f"instance {idx}", "-", f"t={t}",
+                                 rule is Rule.STANDARD)
+
+        def rank_bound(spec, matrix):
+            rank_calls.append(spec)
+            return TheoremReport("Table 5.1 rank bound", spec.label(), "-",
+                                 f"call {len(rank_calls)}", False)
+
+        monkeypatch.setattr(suites, "support_implies_failed", certificate)
+        monkeypatch.setattr(suites, "rank_lower_bound_check", rank_bound)
+        res = run_linalg(seed=0, trials=4, max_n=1)
+        # path:1, empty:1, marytree:2,1 and marytree:3,1; only the path is
+        # a Table 5.1 family
+        assert res["by_theorem"] == {
+            "Cor 2.10 / Prop 2.12": {"passed": 0, "failed": 4},
+            "Table 5.1 rank bound": {"passed": 0, "failed": 1}}
+        path = [c for c in res["checks"]
+                if c["graph"] in ("instance 0", "path:1")]
+        assert [(c["graph"], c["observed"]) for c in path] == [
+            ("instance 0", "t=0"), ("instance 0", "t=1"),
+            ("path:1", "4 passed"), ("path:1", "0 held"),
+            ("path:1", "call 1"), ("path:1", "call 2"), ("path:1", "call 3")]
 
     def test_deterministic(self):
         a = run_linalg(seed=2, trials=3, max_n=6)
