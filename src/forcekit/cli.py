@@ -18,6 +18,8 @@ import time
 
 from .forcing import Rule
 from .formulas import (
+    TABLE1,
+    TABLE2,
     UnsupportedFamilyError,
     predicted_F,
     predicted_failed_union,
@@ -38,8 +40,14 @@ from .search import (
     resolve_budget,
     zero_forcing_number,
 )
-from .suites import SUITE_NAMES, SuiteUsageError, failed_number_check, run_suite
-from .theorems import TheoremReport
+from .suites import (
+    SUITE_NAMES,
+    SuiteUsageError,
+    default_family_specs,
+    failed_number_check,
+    run_suite,
+)
+from .theorems import check_failed_bounds
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -152,7 +160,10 @@ def _analyze(args) -> int:
             computed.append(entry)
             values[(rule.value, param)] = res.value
 
-    checks = _consistency_checks(g.n, description, values)
+    checks = check_failed_bounds(
+        g.n, description, f=values.get(("standard", "F")),
+        z=values.get(("standard", "Z")), fplus=values.get(("psd", "F")),
+        zplus=values.get(("psd", "Z")))
     report = {
         "command": "analyze",
         "graph": {"description": description, "n": g.n, "edges": g.edges()},
@@ -167,21 +178,6 @@ def _analyze(args) -> int:
     else:
         _print_analyze_tsv(report)
     return EXIT_OK
-
-
-def _consistency_checks(n: int, name: str,
-                        values: dict[tuple[str, str], int]) -> list[TheoremReport]:
-    checks = []
-    for rule, theorem in (("standard", "Obs 3.1"), ("psd", "Prop 4.1")):
-        if (rule, "Z") in values and (rule, "F") in values:
-            z, f = values[(rule, "Z")], values[(rule, "F")]
-            checks.append(TheoremReport.compare(
-                theorem, name, True, z - 1 <= f <= n - 1))
-    if ("standard", "F") in values and ("psd", "F") in values:
-        checks.append(TheoremReport.compare(
-            "Thm 4.19", name, True,
-            values[("psd", "F")] <= values[("standard", "F")]))
-    return checks
 
 
 def _print_analyze_tsv(report: dict) -> None:
@@ -232,85 +228,22 @@ def _print_verify_text(result: dict) -> None:
 # Summary tables
 # ---------------------------------------------------------------------------
 
-def _table_rows(which: int):
-    """Row layout: family label, value formula, mr-equality claim, instance
-    specs, per-instance expected value (None = lower bound from the
-    prediction)."""
-    b = FamilySpec
-    if which == 1:
-        return [
-            ("P_n", "ceil((n-2)/2)", "iff n=1",
-             [b("path", (n,)) for n in range(1, 13)]),
-            ("C_n, n>=3", "floor(n/2)", "iff n=3,4",
-             [b("cycle", (n,)) for n in range(3, 13)]),
-            ("K_n, n>=2", "n-2", "iff n=3",
-             [b("complete", (n,)) for n in range(2, 11)]),
-            ("W_4", "2", "no", [b("wheel", (4,))]),
-            ("W_5", "3", "no", [b("wheel", (5,))]),
-            ("W_n, n>=6", "floor((2n-2)/3)", "iff n=6,7",
-             [b("wheel", (n,)) for n in range(6, 13)]),
-            ("K_{m,1}, m>=1", "m-1", "iff m=3",
-             [b("biclique", (m, 1)) for m in range(1, 6)]),
-            ("K_{m,2}, m>=2", "m", "iff m=2",
-             [b("biclique", (m, 2)) for m in range(2, 6)]),
-            ("K_{m,n}, m>=n>=2", "m+n-2", "iff m+n=4",
-             [b("biclique", (m, n)) for m in range(2, 6)
-              for n in range(2, m + 1)]),
-            ("Q_1", "0", "no", [b("hypercube", (1,))]),
-            ("Q_2", "2", "yes", [b("hypercube", (2,))]),
-            ("Q_n, n>=3", ">= 2^n - n", "no",
-             [b("hypercube", (d,)) for d in (3, 4)]),
-            ("H_1", "0", "no", [b("halfgraph", (1,))]),
-            ("H_s, s>=2", "2s-3", "iff s=3",
-             [b("halfgraph", (s,)) for s in range(2, 6)]),
-        ]
-    return [
-        ("P_n", "0", "iff n=1", [b("path", (n,)) for n in range(1, 13)]),
-        ("C_n, n>=3", "1", "iff n=3", [b("cycle", (n,)) for n in range(3, 13)]),
-        ("K_n, n>=2", "n-2", "iff n=3",
-         [b("complete", (n,)) for n in range(2, 11)]),
-        ("W_4", "2", "no", [b("wheel", (4,))]),
-        ("W_5", "2", "yes", [b("wheel", (5,))]),
-        ("W_n, n>=6", "floor((2n-2)/3)", "iff n=5,6,7",
-         [b("wheel", (n,)) for n in range(6, 13)]),
-        ("K_{m,1}, m>=1", "0", "no",
-         [b("biclique", (m, 1)) for m in range(1, 6)]),
-        ("K_{m,2}, m>=2", "m-1", "no",
-         [b("biclique", (m, 2)) for m in range(2, 6)]),
-        ("K_{m,n}, m>=n>=3", "m+n-4", "iff n=4",
-         [b("biclique", (m, n)) for m in range(3, 6)
-          for n in range(3, m + 1)]),
-        ("Q_1", "0", "no", [b("hypercube", (1,))]),
-        ("Q_2", "1", "no", [b("hypercube", (2,))]),
-        ("Q_n, n>=3", ">= 2^n - n - 1", "iff n=3",
-         [b("hypercube", (d,)) for d in (3, 4)]),
-        ("H_1", "0", "no", [b("halfgraph", (1,))]),
-        ("H_s, s>=2", "2s-4", "iff s=4",
-         [b("halfgraph", (s,)) for s in range(2, 6)]),
-    ]
-
-
 def _table(args) -> int:
-    which = args.which
-    rule = Rule.STANDARD if which == 1 else Rule.PSD
-    param = "F(G)" if which == 1 else "F+(G)"
-    eq = "F(G)=mr(G)?" if which == 1 else "F+(G)=mr+(G)?"
+    if args.which == 1:
+        rule, table, param, eq = Rule.STANDARD, TABLE1, "F(G)", "F(G)=mr(G)?"
+    else:
+        rule, table, param, eq = Rule.PSD, TABLE2, "F+(G)", "F+(G)=mr+(G)?"
     header = f"{'G':<18} {param:<18} {eq:<14} computed"
     print(header)
     print("-" * len(header))
-    for label, formula, equality, specs in _table_rows(which):
-        verified = 0
-        notes = []
-        for spec in specs:
-            check = failed_number_check(spec, rule)
-            if check["pass"]:
-                verified += 1
-            else:
-                notes.append(f"{spec.label()}={check['observed']}")
-        status = f"ok ({verified}/{len(specs)} instances)"
-        if notes:
-            status = "MISMATCH " + ",".join(notes)
-        print(f"{label:<18} {formula:<18} {equality:<14} {status}")
+    instances = default_family_specs()
+    for row in table:
+        checks = [failed_number_check(spec, rule)
+                  for spec in instances if row.covers(spec)]
+        misses = [f"{c['graph']}={c['observed']}" for c in checks if not c["pass"]]
+        status = (f"MISMATCH {','.join(misses)}" if misses
+                  else f"ok ({len(checks)}/{len(checks)} instances)")
+        print(f"{row.label:<18} {row.formula:<18} {row.equality:<14} {status}")
     return EXIT_OK
 
 

@@ -1,13 +1,17 @@
 """Closed-form parameter predictions for the named graph families.
 
-Every prediction carries the identifier of the published result it encodes
-(e.g. "Thm 3.6") and whether it is exact or only a lower bound.  The only
-lower bounds are the hypercube failed numbers for dimension >= 3; everything
-else is exact on its family range.
+The paper's Tables 1 (F) and 2 (F+) are coded once, as the rows of TABLE1
+and TABLE2; the predictions, the minimum-rank checks in ``theorems`` and
+``forcekit table`` all read them.  Every prediction carries the identifier
+of the published result it encodes (e.g. "Thm 3.6") and whether it is
+exact or only a lower bound.  The only lower bounds are the hypercube
+failed numbers for dimension >= 3; everything else is exact on its family
+range.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .forcing import Rule
@@ -34,19 +38,121 @@ def _path_failed(n: int) -> int:
     return (n - 1) // 2
 
 
-def predicted_F(spec: FamilySpec) -> Prediction:
-    """Failed zero forcing number of a single (non-union) family instance."""
-    k, p = spec.kind, spec.params
-    if k == "union":
+def _table_params(spec: FamilySpec) -> tuple[str, tuple[int, ...]]:
+    """The kind and parameters a table row reads: K_1 is the path P_1, and
+    a biclique K_{m,n} is read with m >= n."""
+    if spec.kind == "complete" and spec.params == (1,):
+        return "path", (1,)
+    if spec.kind == "biclique":
+        return "biclique", tuple(sorted(spec.params, reverse=True))
+    return spec.kind, spec.params
+
+
+@dataclass(frozen=True)
+class TableRow:
+    """One row of the paper's Table 1 (F) or Table 2 (F+): the printed
+    columns, the instances it covers (``when``), its value, and whether
+    that value is the minimum rank, mr in Table 1 and mr+ in Table 2
+    (``meets_mr``).  ``value`` and ``meets_mr`` are constants or functions
+    of the parameters."""
+
+    label: str
+    formula: str
+    equality: str
+    kind: str
+    when: Callable[..., bool]
+    value: int | Callable[..., int]
+    meets_mr: bool | Callable[..., bool]
+    source: str
+    exactness: str = EXACT
+
+    def covers(self, spec: FamilySpec) -> bool:
+        kind, params = _table_params(spec)
+        return kind == self.kind and self.when(*params)
+
+
+# Rows may overlap (K_{m,2} lies in K_{m,n}, m>=n>=2); they agree where they
+# meet.  The W_n row of Table 2 prints "iff n=5,6,7" as the paper does.
+TABLE1 = (
+    TableRow("P_n", "ceil((n-2)/2)", "iff n=1", "path", lambda n: True,
+             _path_failed, lambda n: n == 1, "Thm 3.6"),
+    TableRow("C_n, n>=3", "floor(n/2)", "iff n=3,4", "cycle", lambda n: True,
+             lambda n: n // 2, lambda n: n in (3, 4), "Thm 3.6"),
+    TableRow("K_n, n>=2", "n-2", "iff n=3", "complete", lambda n: n >= 2,
+             lambda n: n - 2, lambda n: n == 3, "Thm 3.6"),
+    TableRow("W_4", "2", "no", "wheel", lambda n: n == 4, 2, False, "Thm 3.6"),
+    TableRow("W_5", "3", "no", "wheel", lambda n: n == 5, 3, False, "Thm 3.6"),
+    TableRow("W_n, n>=6", "floor((2n-2)/3)", "iff n=6,7", "wheel", lambda n: n >= 6,
+             lambda n: (2 * n - 2) // 3, lambda n: n in (6, 7), "Thm 3.6"),
+    TableRow("K_{m,1}, m>=1", "m-1", "iff m=3", "biclique", lambda m, n: n == 1,
+             lambda m, n: m - 1, lambda m, n: m == 3, "Thm 3.6"),
+    TableRow("K_{m,2}, m>=2", "m", "iff m=2", "biclique", lambda m, n: n == 2,
+             lambda m, n: m, lambda m, n: m == 2, "Thm 3.6"),
+    TableRow("K_{m,n}, m>=n>=2", "m+n-2", "iff m+n=4", "biclique",
+             lambda m, n: n >= 2, lambda m, n: m + n - 2,
+             lambda m, n: m + n == 4, "Thm 3.6"),
+    TableRow("Q_1", "0", "no", "hypercube", lambda d: d == 1, 0, False, "Thm 3.7"),
+    TableRow("Q_2", "2", "yes", "hypercube", lambda d: d == 2, 2, True, "Thm 3.7"),
+    TableRow("Q_n, n>=3", ">= 2^n - n", "no", "hypercube", lambda d: d >= 3,
+             lambda d: (1 << d) - d, False, "Thm 3.7", LOWER_BOUND),
+    TableRow("H_1", "0", "no", "halfgraph", lambda s: s == 1, 0, False, "Thm 3.8"),
+    TableRow("H_s, s>=2", "2s-3", "iff s=3", "halfgraph", lambda s: s >= 2,
+             lambda s: 2 * s - 3, lambda s: s == 3, "Thm 3.8"),
+)
+
+TABLE2 = (
+    TableRow("P_n", "0", "iff n=1", "path", lambda n: True, 0, lambda n: n == 1,
+             "Thm 4.16"),
+    TableRow("C_n, n>=3", "1", "iff n=3", "cycle", lambda n: True, 1,
+             lambda n: n == 3, "Thm 4.6"),
+    TableRow("K_n, n>=2", "n-2", "iff n=3", "complete", lambda n: n >= 2,
+             lambda n: n - 2, lambda n: n == 3, "Cor 4.13"),
+    TableRow("W_4", "2", "no", "wheel", lambda n: n == 4, 2, False, "Thm 4.20"),
+    TableRow("W_5", "2", "yes", "wheel", lambda n: n == 5, 2, True, "Thm 4.20"),
+    TableRow("W_n, n>=6", "floor((2n-2)/3)", "iff n=5,6,7", "wheel", lambda n: n >= 6,
+             lambda n: (2 * n - 2) // 3, lambda n: n in (6, 7), "Thm 4.20"),
+    TableRow("K_{m,1}, m>=1", "0", "no", "biclique", lambda m, n: n == 1, 0, False,
+             "Thm 4.21"),
+    TableRow("K_{m,2}, m>=2", "m-1", "no", "biclique", lambda m, n: n == 2,
+             lambda m, n: m - 1, False, "Thm 4.21"),
+    TableRow("K_{m,n}, m>=n>=3", "m+n-4", "iff n=4", "biclique",
+             lambda m, n: n >= 3, lambda m, n: m + n - 4,
+             lambda m, n: n == 4, "Thm 4.21"),
+    TableRow("Q_1", "0", "no", "hypercube", lambda d: d == 1, 0, False, "Thm 4.22"),
+    TableRow("Q_2", "1", "no", "hypercube", lambda d: d == 2, 1, False, "Thm 4.22"),
+    TableRow("Q_n, n>=3", ">= 2^n - n - 1", "iff n=3", "hypercube", lambda d: d >= 3,
+             lambda d: (1 << d) - d - 1, lambda d: d == 3, "Thm 4.22", LOWER_BOUND),
+    TableRow("H_1", "0", "no", "halfgraph", lambda s: s == 1, 0, False, "Thm 4.23"),
+    TableRow("H_s, s>=2", "2s-4", "iff s=4", "halfgraph", lambda s: s >= 2,
+             lambda s: 2 * s - 4, lambda s: s == 4, "Thm 4.23"),
+)
+
+
+def table_lookup(table: tuple[TableRow, ...],
+                 spec: FamilySpec) -> tuple[TableRow, int, bool]:
+    """The first row of ``table`` that covers ``spec``, with its value and
+    its ``meets_mr`` there."""
+    kind, params = _table_params(spec)
+    for row in table:
+        if row.kind == kind and row.when(*params):
+            value, meets_mr = (entry(*params) if callable(entry) else entry
+                               for entry in (row.value, row.meets_mr))
+            return row, value, meets_mr
+    raise UnsupportedFamilyError(f"{spec.label()} is in no row of the table")
+
+
+def _table_prediction(table: tuple[TableRow, ...], parameter: str,
+                      spec: FamilySpec) -> Prediction:
+    if spec.kind == "union":
         raise UnsupportedFamilyError("use predicted_failed_union for unions")
-    if k == "path":
-        return Prediction("F", _path_failed(p[0]), EXACT, "Thm 3.6")
-    if k == "cycle":
-        return Prediction("F", p[0] // 2, EXACT, "Thm 3.6")
-    if k == "complete":
-        if p[0] == 1:  # K1 = P1
-            return Prediction("F", 0, EXACT, "Thm 3.6")
-        return Prediction("F", p[0] - 2, EXACT, "Thm 3.6")
+    row, value, _ = table_lookup(table, spec)
+    return Prediction(parameter, value, row.exactness, row.source)
+
+
+def predicted_F(spec: FamilySpec) -> Prediction:
+    """Failed zero forcing number of a family instance: a Table 1 row, or
+    one of the trees and edgeless graphs outside the table."""
+    k, p = spec.kind, spec.params
     if k == "marytree":
         n = p[1]
         # F = n - 2 holds exactly when the tree has a module of order 2;
@@ -58,62 +164,20 @@ def predicted_F(spec: FamilySpec) -> Prediction:
         if is_path_graph(g):
             return Prediction("F", _path_failed(n), EXACT, "Thm 3.6")
         raise UnsupportedFamilyError(f"no closed form for marytree{p}")
-    if k == "wheel":
-        n = p[0]
-        return Prediction("F", 3 if n == 5 else (2 * n - 2) // 3, EXACT, "Thm 3.6")
-    if k == "biclique":
-        return Prediction("F", p[0] + p[1] - 2, EXACT, "Thm 3.6")
-    if k == "hypercube":
-        d = p[0]
-        if d == 1:
-            return Prediction("F", 0, EXACT, "Thm 3.7")
-        if d == 2:
-            return Prediction("F", 2, EXACT, "Thm 3.7")
-        return Prediction("F", (1 << d) - d, LOWER_BOUND, "Thm 3.7")
-    if k == "halfgraph":
-        s = p[0]
-        return Prediction("F", 0 if s == 1 else 2 * s - 3, EXACT, "Thm 3.8")
     if k == "empty":
         return Prediction("F", p[0] - 1, EXACT, "Obs 3.4")
-    raise UnsupportedFamilyError(f"no failed-number formula for {k}")
+    return _table_prediction(TABLE1, "F", spec)
 
 
 def predicted_Fplus(spec: FamilySpec) -> Prediction:
-    """Failed PSD zero forcing number of a single family instance."""
+    """Failed PSD zero forcing number of a family instance: a Table 2 row,
+    or one of the trees and edgeless graphs outside the table."""
     k, p = spec.kind, spec.params
-    if k == "union":
-        raise UnsupportedFamilyError("use predicted_failed_union for unions")
-    if k in ("path", "marytree"):
+    if k == "marytree":
         return Prediction("Fplus", 0, EXACT, "Thm 4.16")
-    if k == "cycle":
-        return Prediction("Fplus", 1, EXACT, "Thm 4.6")
-    if k == "complete":
-        if p[0] == 1:  # K1 is a tree
-            return Prediction("Fplus", 0, EXACT, "Thm 4.16")
-        return Prediction("Fplus", p[0] - 2, EXACT, "Cor 4.13")
-    if k == "wheel":
-        return Prediction("Fplus", (2 * p[0] - 2) // 3, EXACT, "Thm 4.20")
-    if k == "biclique":
-        m, n = p
-        small = min(m, n)
-        if small == 1:
-            return Prediction("Fplus", 0, EXACT, "Thm 4.21")
-        if small == 2:
-            return Prediction("Fplus", m + n - 3, EXACT, "Thm 4.21")
-        return Prediction("Fplus", m + n - 4, EXACT, "Thm 4.21")
-    if k == "hypercube":
-        d = p[0]
-        if d == 1:
-            return Prediction("Fplus", 0, EXACT, "Thm 4.22")
-        if d == 2:
-            return Prediction("Fplus", 1, EXACT, "Thm 4.22")
-        return Prediction("Fplus", (1 << d) - d - 1, LOWER_BOUND, "Thm 4.22")
-    if k == "halfgraph":
-        s = p[0]
-        return Prediction("Fplus", 0 if s == 1 else 2 * s - 4, EXACT, "Thm 4.23")
     if k == "empty":
         return Prediction("Fplus", p[0] - 1, EXACT, "Thm 4.2")
-    raise UnsupportedFamilyError(f"no PSD failed-number formula for {k}")
+    return _table_prediction(TABLE2, "Fplus", spec)
 
 
 # Table 5.1 rows: (M, Z, M+, Z+) as functions of the parameters.  The half

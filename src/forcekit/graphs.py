@@ -137,9 +137,13 @@ class FamilySpec:
                 f"{self.kind} takes {_FAMILY_ARITY[self.kind]} parameter(s), "
                 f"got {len(self.params)}")
         _check_family_bounds(self.kind, self.params)
-        if self.order() > MAX_VERTICES:
-            raise FamilyError(f"{self.kind}{self.params} has {self.order()} "
-                              f"vertices > {MAX_VERTICES}")
+        # A hypercube's order 2^d is capped through d, so that no absurd d
+        # builds a huge 1 << d.
+        too_big = (self.params[0] >= MAX_VERTICES.bit_length()
+                   if self.kind == "hypercube" else self.order() > MAX_VERTICES)
+        if too_big:
+            raise FamilyError(f"{self.label()} has more than {MAX_VERTICES} "
+                              "vertices")
 
     def order(self) -> int:
         """Number of vertices of the generated instance."""

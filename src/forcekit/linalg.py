@@ -52,7 +52,7 @@ class PatternMatrix:
         n = self.graph.n
         if a.shape != (n, n):
             raise PatternMismatchError(f"matrix shape {a.shape} for n={n}")
-        if not np.allclose(a, a.T, atol=PATTERN_TOL):
+        if not np.array_equal(a, a.T):
             raise PatternMismatchError("matrix is not symmetric")
         rows, cols = _edge_positions(self.graph)
         edge = np.zeros((n, n), dtype=bool)
@@ -70,10 +70,9 @@ def _edge_positions(g: Graph) -> np.ndarray:
     return np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
 
 
-def sample_pattern_matrix(g: Graph, seed) -> PatternMatrix:
-    """Random symmetric matrix fitting g: edge entries uniform over
-    [-2,-0.5] u [0.5,2], free diagonal uniform over [-2,2]."""
-    rng = np.random.default_rng(seed)
+def _sampled_entries(g: Graph, rng: np.random.Generator) -> np.ndarray:
+    """Entries of a random symmetric matrix fitting g: edge entries uniform
+    over [-2,-0.5] u [0.5,2], free diagonal uniform over [-2,2]."""
     rows, cols = _edge_positions(g)
     # A magnitude and then a sign per edge, in row-major order.  The sign is
     # the draw rng.choice((-1.0, 1.0)) makes, without its per-call setup.
@@ -81,7 +80,12 @@ def sample_pattern_matrix(g: Graph, seed) -> PatternMatrix:
     a = np.zeros((g.n, g.n))
     a[rows, cols] = a[cols, rows] = values
     a[np.diag_indices(g.n)] = rng.uniform(-2.0, 2.0, size=g.n)
-    return PatternMatrix(g, a)
+    return a
+
+
+def sample_pattern_matrix(g: Graph, seed) -> PatternMatrix:
+    """Random symmetric matrix fitting g, as drawn by ``_sampled_entries``."""
+    return PatternMatrix(g, _sampled_entries(g, np.random.default_rng(seed)))
 
 
 def shifted_singular_matrix(g: Graph, seed) -> PatternMatrix:
@@ -89,13 +93,13 @@ def shifted_singular_matrix(g: Graph, seed) -> PatternMatrix:
 
     Subtracting lambda * I only moves the diagonal, so the result still fits
     g while having nullity >= 1; the chosen eigenvalue index is part of the
-    seed stream.
+    seed stream.  Only the shifted matrix is validated.
     """
     rng = np.random.default_rng(seed)
-    base = sample_pattern_matrix(g, rng)
-    eigenvalues = np.linalg.eigvalsh(base.entries)
+    base = _sampled_entries(g, rng)
+    eigenvalues = np.linalg.eigvalsh(base)
     lam = eigenvalues[int(rng.integers(g.n))]
-    return PatternMatrix(g, base.entries - lam * np.eye(g.n))
+    return PatternMatrix(g, base - lam * np.eye(g.n))
 
 
 def weighted_laplacian(g: Graph, seed,

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import UnsupportedFamilyError, table51_value
+from .formulas import (
+    TABLE1,
+    TABLE2,
+    UnsupportedFamilyError,
+    table51_value,
+    table_lookup,
+)
 from .graphs import (
     FamilySpec,
     Graph,
@@ -82,74 +88,41 @@ def check_low_Fplus(g: Graph, name: str, fplus: int,
     ]
 
 
+def check_failed_bounds(n: int, name: str, f=None, z=None, fplus=None,
+                        zplus=None) -> list[TheoremReport]:
+    """Z - 1 <= F <= n - 1 (Obs 3.1), Z+ - 1 <= F+ <= n - 1 (Prop 4.1) and
+    F+ <= F (Thm 4.19), each checked when the values it reads are given."""
+    checks = (("Obs 3.1", (f, z), lambda: z - 1 <= f <= n - 1),
+              ("Prop 4.1", (fplus, zplus), lambda: zplus - 1 <= fplus <= n - 1),
+              ("Thm 4.19", (f, fplus), lambda: fplus <= f))
+    return [TheoremReport.compare(theorem, name, True, holds())
+            for theorem, values, holds in checks if None not in values]
+
+
 def check_F_vs_Z(g: Graph, name: str, f: int, z: int, fplus: int,
                  zplus: int) -> list[TheoremReport]:
     """Sandwich bounds, rule dominance, and the characterization of
     F < Z (complete graphs and their complements only)."""
-    return [
-        TheoremReport.compare("Obs 3.1", name, True, z - 1 <= f <= g.n - 1),
-        TheoremReport.compare("Prop 4.1", name, True, zplus - 1 <= fplus <= g.n - 1),
+    return check_failed_bounds(g.n, name, f, z, fplus, zplus) + [
         TheoremReport.compare("Thm 5.1", name,
                               is_complete(g) or is_empty_graph(g), f < z),
-        TheoremReport.compare("Thm 4.19", name, True, fplus <= f),
     ]
-
-
-# Instances where the failed number meets the tabulated minimum rank.
-def _mr_equality_expected(spec: FamilySpec) -> bool:
-    k, p = spec.kind, spec.params
-    if k == "path":
-        return p[0] == 1
-    if k == "cycle":
-        return p[0] in (3, 4)
-    if k == "complete":
-        return p[0] == 3
-    if k == "hypercube":
-        return p[0] == 2
-    if k == "wheel":
-        return p[0] in (6, 7)
-    if k == "biclique":
-        return p[0] + p[1] == 4
-    if k == "halfgraph":
-        return p[0] == 3
-    raise UnsupportedFamilyError(f"{k} not covered")
-
-
-def _mrplus_equality_expected(spec: FamilySpec) -> bool:
-    k, p = spec.kind, spec.params
-    if k == "path":
-        return p[0] == 1
-    if k == "cycle":
-        return p[0] == 3
-    if k == "complete":
-        return p[0] == 3
-    if k == "hypercube":
-        return p[0] == 3
-    if k == "wheel":
-        return p[0] in (5, 6, 7)
-    if k == "biclique":
-        return min(p) == 4
-    if k == "halfgraph":
-        return p[0] == 4
-    raise UnsupportedFamilyError(f"{k} not covered")
 
 
 def check_minrank_equalities(spec: FamilySpec, f: int,
                              fplus: int) -> list[TheoremReport]:
-    """F = mr exactly on C3, C4, K3, Q2, W6, W7, bicliques of order 4 and
-    H3; F+ = mr+ exactly on C3, K3, Q3, W5, W6, W7, bicliques with least
-    part 4 and H4; strict inequality elsewhere (P1 = K1 is the one path
-    meeting its own minimum rank).  mr and mr+ come from the tabulated
-    nullities via rank-nullity.
-    """
+    """F = mr (Thm 5.7) and F+ = mr+ (Thm 5.8) exactly where the family's
+    row of Table 1 or 2 says so; P1 = K1 is the one path meeting its own
+    minimum rank.  mr and mr+ come from the tabulated nullities via
+    rank-nullity."""
     name = spec.label()
     mr = table51_value(spec, "mr")
     mrplus = table51_value(spec, "mrplus")
     return [
-        TheoremReport.compare("Thm 5.7", name,
-                              _mr_equality_expected(spec), f == mr),
-        TheoremReport.compare("Thm 5.8", name,
-                              _mrplus_equality_expected(spec), fplus == mrplus),
+        TheoremReport.compare("Thm 5.7", name, table_lookup(TABLE1, spec)[2],
+                              f == mr),
+        TheoremReport.compare("Thm 5.8", name, table_lookup(TABLE2, spec)[2],
+                              fplus == mrplus),
     ]
 
 

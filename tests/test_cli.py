@@ -12,6 +12,45 @@ from forcekit.cli import main
 from forcekit.graphs import build_family
 
 
+# The full stdout of `forcekit table`, row by row.
+TABLE1_STDOUT = (
+    "G                  F(G)               F(G)=mr(G)?    computed\n"
+    "-------------------------------------------------------------\n"
+    "P_n                ceil((n-2)/2)      iff n=1        ok (12/12 instances)\n"
+    "C_n, n>=3          floor(n/2)         iff n=3,4      ok (10/10 instances)\n"
+    "K_n, n>=2          n-2                iff n=3        ok (9/9 instances)\n"
+    "W_4                2                  no             ok (1/1 instances)\n"
+    "W_5                3                  no             ok (1/1 instances)\n"
+    "W_n, n>=6          floor((2n-2)/3)    iff n=6,7      ok (7/7 instances)\n"
+    "K_{m,1}, m>=1      m-1                iff m=3        ok (5/5 instances)\n"
+    "K_{m,2}, m>=2      m                  iff m=2        ok (4/4 instances)\n"
+    "K_{m,n}, m>=n>=2   m+n-2              iff m+n=4      ok (10/10 instances)\n"
+    "Q_1                0                  no             ok (1/1 instances)\n"
+    "Q_2                2                  yes            ok (1/1 instances)\n"
+    "Q_n, n>=3          >= 2^n - n         no             ok (2/2 instances)\n"
+    "H_1                0                  no             ok (1/1 instances)\n"
+    "H_s, s>=2          2s-3               iff s=3        ok (4/4 instances)\n"
+)
+TABLE2_STDOUT = (
+    "G                  F+(G)              F+(G)=mr+(G)?  computed\n"
+    "-------------------------------------------------------------\n"
+    "P_n                0                  iff n=1        ok (12/12 instances)\n"
+    "C_n, n>=3          1                  iff n=3        ok (10/10 instances)\n"
+    "K_n, n>=2          n-2                iff n=3        ok (9/9 instances)\n"
+    "W_4                2                  no             ok (1/1 instances)\n"
+    "W_5                2                  yes            ok (1/1 instances)\n"
+    "W_n, n>=6          floor((2n-2)/3)    iff n=5,6,7    ok (7/7 instances)\n"
+    "K_{m,1}, m>=1      0                  no             ok (5/5 instances)\n"
+    "K_{m,2}, m>=2      m-1                no             ok (4/4 instances)\n"
+    "K_{m,n}, m>=n>=3   m+n-4              iff n=4        ok (6/6 instances)\n"
+    "Q_1                0                  no             ok (1/1 instances)\n"
+    "Q_2                1                  no             ok (1/1 instances)\n"
+    "Q_n, n>=3          >= 2^n - n - 1     iff n=3        ok (2/2 instances)\n"
+    "H_1                0                  no             ok (1/1 instances)\n"
+    "H_s, s>=2          2s-4               iff s=4        ok (4/4 instances)\n"
+)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -71,6 +110,12 @@ class TestAnalyze:
     def test_bad_family_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--family", "wheel:2")
         assert code == 2 and "error" in err
+
+    def test_over_cap_hypercube_exits_2_in_one_line(self, capsys):
+        # 2^20000 is never built, so its digits are never printed either
+        code, out, err = run_cli(capsys, "analyze", "--family", "hypercube:20000")
+        assert (code, out) == (2, "")
+        assert err == "error: hypercube:20000 has more than 63 vertices\n"
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--file", "/nonexistent")
@@ -233,6 +278,12 @@ class TestTable:
         assert code == 0
         assert "iff s=4" in out and "2s-4" in out
         assert "MISMATCH" not in out
+
+    @pytest.mark.parametrize("which,expected", [("1", TABLE1_STDOUT),
+                                                ("2", TABLE2_STDOUT)])
+    def test_full_stdout_pinned(self, capsys, which, expected):
+        code, out, err = run_cli(capsys, "table", "--which", which)
+        assert (code, out, err) == (0, expected, "")
 
 
 class TestClosedStdout:

@@ -4,6 +4,8 @@ from forcekit.forcing import Rule
 from forcekit.formulas import (
     EXACT,
     LOWER_BOUND,
+    TABLE1,
+    TABLE2,
     Prediction,
     UnsupportedFamilyError,
     compose_disconnected,
@@ -12,10 +14,11 @@ from forcekit.formulas import (
     predicted_Fplus,
     predicted_table51,
     table51_value,
+    table_lookup,
 )
 from forcekit.graphs import build_family, parse_family
 from forcekit.search import brute_failed_number
-from forcekit.suites import default_family_specs
+from forcekit.suites import _TABLE51_KINDS, default_family_specs
 
 
 def spec(text):
@@ -91,6 +94,42 @@ class TestOracleAgreement:
                 assert got == pred.value, s.label()
             else:
                 assert got >= pred.value, s.label()
+
+
+class TestPaperTables:
+    @pytest.mark.parametrize("table", [TABLE1, TABLE2], ids=["table1", "table2"])
+    def test_rows_and_default_instances_cover_each_other(self, table):
+        instances = default_family_specs(kinds=_TABLE51_KINDS)
+        for s in instances:
+            assert any(row.covers(s) for row in table), s.label()
+        for row in table:
+            assert any(row.covers(s) for s in instances), row.label
+
+    @pytest.mark.parametrize("table", [TABLE1, TABLE2], ids=["table1", "table2"])
+    def test_overlapping_rows_agree(self, table):
+        for s in default_family_specs(kinds=_TABLE51_KINDS):
+            rows = [row for row in table if row.covers(s)]
+            values = {table_lookup((row,), s)[1:] for row in rows}
+            assert len(values) == 1, (s.label(), [r.label for r in rows])
+
+    def test_biclique_read_with_larger_part_first(self):
+        for table in (TABLE1, TABLE2):
+            row, value, meets_mr = table_lookup(table, spec("biclique:2,5"))
+            assert (row, value, meets_mr) == table_lookup(table, spec("biclique:5,2"))
+            assert row.label == "K_{m,2}, m>=2"
+        assert predicted_F(spec("biclique:2,3")) == predicted_F(spec("biclique:3,2"))
+        assert predicted_Fplus(spec("biclique:2,3")) == \
+            predicted_Fplus(spec("biclique:3,2"))
+
+    def test_k1_reads_the_path_row(self):
+        for table in (TABLE1, TABLE2):
+            assert table_lookup(table, spec("complete:1")) == \
+                table_lookup(table, spec("path:1"))
+
+    @pytest.mark.parametrize("text", ["empty:3", "marytree:2,5", "path:2+path:3"])
+    def test_outside_the_tables(self, text):
+        with pytest.raises(UnsupportedFamilyError):
+            table_lookup(TABLE1, spec(text))
 
 
 class TestTable51:

@@ -131,7 +131,8 @@ class TestFamilies:
 
     @pytest.mark.parametrize("text", [
         "cycle:2", "wheel:3", "biclique:0,2", "marytree:1,5", "path:0",
-        "hypercube:6", "halfgraph:32", "empty:64", "path:70",
+        "hypercube:6", "hypercube:20000", "hypercube:1000000000000",
+        "halfgraph:32", "empty:64", "path:70",
     ])
     def test_parameter_bounds(self, text):
         with pytest.raises(FamilyError):

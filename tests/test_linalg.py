@@ -17,6 +17,8 @@ from forcekit.linalg import (
     weighted_laplacian,
 )
 
+from forcekit.suites import run_linalg
+
 from conftest import seeded_random_graph
 
 
@@ -93,6 +95,11 @@ class TestValidation:
         with pytest.raises(PatternMismatchError):
             PatternMatrix(g, np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    def test_rejects_asymmetry_within_float_tolerance(self):
+        # np.allclose would let this through at its default rtol of 1e-5
+        with pytest.raises(PatternMismatchError, match="not symmetric"):
+            PatternMatrix(fam("path:2"), np.array([[0.0, 1.0], [1.000009, 0.0]]))
+
     def test_rejects_zero_at_edge(self):
         g = fam("path:2")
         with pytest.raises(PatternMismatchError):
@@ -117,6 +124,29 @@ class TestValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(PatternMismatchError):
             PatternMatrix(fam("path:3"), np.zeros((2, 2)))
+
+
+class TestValidationCount:
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        count = [0]
+        validate = PatternMatrix.__post_init__
+
+        def counting(matrix):
+            count[0] += 1
+            validate(matrix)
+
+        monkeypatch.setattr(PatternMatrix, "__post_init__", counting)
+        return count
+
+    def test_shifted_matrix_validated_once(self, validations):
+        shifted_singular_matrix(fam("cycle:5"), 3)
+        assert validations[0] == 1
+
+    def test_linalg_suite_validates_each_matrix_once(self, validations):
+        # 100 instances of order <= 12, two trials, three matrices each
+        run_linalg(0, trials=2, max_n=12)
+        assert validations[0] == 100 * 2 * 3
 
 
 class TestLaplacian:

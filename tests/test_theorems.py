@@ -127,6 +127,16 @@ class TestMinrankEqualities:
         assert f == 2  # tabulated mr is 5
         assert all_pass(check_minrank_equalities(parse_family("path:6"), f, fp))
 
+    def test_k1_is_p1_meeting_both_minimum_ranks(self):
+        # K_1 = P_1: F = F+ = 0 = mr = mr+, as the P_n rows say ("iff n=1")
+        _, f, _, fp, _ = computed("complete:1")
+        assert (f, fp) == (0, 0)
+        for text in ("complete:1", "path:1"):
+            reports = check_minrank_equalities(parse_family(text), f, fp)
+            assert [(r.theorem, r.expected, r.observed, r.passed)
+                    for r in reports] == [("Thm 5.7", True, True, True),
+                                          ("Thm 5.8", True, True, True)]
+
     def test_whole_default_range(self):
         for spec in default_family_specs(kinds=TABLE_KINDS):
             g = build_family(spec)
