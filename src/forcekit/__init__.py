@@ -16,13 +16,13 @@ from .formulas import Prediction, UnsupportedFamilyError, \
 from .graphs import FamilyError, FamilySpec, Graph, GraphFormatError, \
     VertexSet, bits, build_family, connected_components, components_within, \
     disjoint_union, find_modules_order2, graph_from_edges, is_tree, mask_of, \
-    parse_family, parse_graph, serialize_graph
+    parse_family, parse_graph
 from .linalg import PatternMatrix, kernel_basis, rank_lower_bound_check, \
     sample_pattern_matrix, shifted_singular_matrix, support_implies_failed, \
     weighted_laplacian
 from .search import ExtremalResult, SearchBudgetExceeded, \
-    brute_failed_number, enumerate_maximal_failed, failed_number, is_fort, \
-    min_fort, zero_forcing_number
+    brute_failed_number, failed_number, is_fort, min_fort, \
+    zero_forcing_number
 from .theorems import TheoremReport
 
 __version__ = "0.1.0"
@@ -36,12 +36,11 @@ __all__ = [
     "FamilyError", "FamilySpec", "Graph", "GraphFormatError", "VertexSet",
     "bits", "build_family", "connected_components", "components_within",
     "disjoint_union", "find_modules_order2", "graph_from_edges", "is_tree",
-    "mask_of", "parse_family", "parse_graph", "serialize_graph",
+    "mask_of", "parse_family", "parse_graph",
     "PatternMatrix", "kernel_basis", "rank_lower_bound_check",
     "sample_pattern_matrix", "shifted_singular_matrix",
     "support_implies_failed", "weighted_laplacian",
     "ExtremalResult", "SearchBudgetExceeded", "brute_failed_number",
-    "enumerate_maximal_failed", "failed_number", "is_fort", "min_fort",
-    "zero_forcing_number",
+    "failed_number", "is_fort", "min_fort", "zero_forcing_number",
     "TheoremReport",
 ]

@@ -120,6 +120,13 @@ def _predictions_for(spec: FamilySpec) -> list[dict]:
 
 
 def _analyze(args) -> int:
+    params = [p.strip().upper() for p in args.params.split(",") if p.strip()]
+    if not params:
+        raise FamilyError(f"--params {args.params!r} names no parameter, "
+                          "choose from Z,F")
+    for p in params:
+        if p not in ("Z", "F"):
+            raise FamilyError(f"unknown parameter {p!r}, choose from Z,F")
     spec = None
     if args.family:
         spec = parse_family(args.family)
@@ -135,10 +142,6 @@ def _analyze(args) -> int:
                     f"{exc.start})") from None
         g = parse_graph(text)
         description = f"file:{args.file}"
-    params = [p.strip().upper() for p in args.params.split(",") if p.strip()]
-    for p in params:
-        if p not in ("Z", "F"):
-            raise FamilyError(f"unknown parameter {p!r}, choose from Z,F")
 
     computed: list[dict] = []
     values: dict[tuple[str, str], int] = {}

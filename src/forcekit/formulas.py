@@ -1,7 +1,8 @@
 """Closed-form parameter predictions for the named graph families.
 
-The paper's Tables 1 (F) and 2 (F+) are coded once, as the rows of TABLE1
-and TABLE2; the predictions, the minimum-rank checks in ``theorems`` and
+The paper's Tables 1 (F), 2 (F+) and 5.1 (M, Z, M+, Z+, with Thm 5.2's
+case of F+ < Z+) are coded once, as the rows of TABLE1, TABLE2 and TABLE51;
+the predictions, the theorem checks in ``theorems``, the suites and
 ``forcekit table`` all read them.  Every prediction carries the identifier
 of the published result it encodes (e.g. "Thm 3.6") and whether it is
 exact or only a lower bound.  The only lower bounds are the hypercube
@@ -46,6 +47,20 @@ def _table_params(spec: FamilySpec) -> tuple[str, tuple[int, ...]]:
     if spec.kind == "biclique":
         return "biclique", tuple(sorted(spec.params, reverse=True))
     return spec.kind, spec.params
+
+
+def _first_row(table: tuple, spec: FamilySpec):
+    """The first row of ``table`` that covers ``spec``, with the parameters
+    it reads."""
+    kind, params = _table_params(spec)
+    for row in table:
+        if row.kind == kind and row.when(*params):
+            return row, params
+    raise UnsupportedFamilyError(f"{spec.label()} is in no row of the table")
+
+
+def _entry(entry, params: tuple[int, ...]):
+    return entry(*params) if callable(entry) else entry
 
 
 @dataclass(frozen=True)
@@ -132,13 +147,8 @@ def table_lookup(table: tuple[TableRow, ...],
                  spec: FamilySpec) -> tuple[TableRow, int, bool]:
     """The first row of ``table`` that covers ``spec``, with its value and
     its ``meets_mr`` there."""
-    kind, params = _table_params(spec)
-    for row in table:
-        if row.kind == kind and row.when(*params):
-            value, meets_mr = (entry(*params) if callable(entry) else entry
-                               for entry in (row.value, row.meets_mr))
-            return row, value, meets_mr
-    raise UnsupportedFamilyError(f"{spec.label()} is in no row of the table")
+    row, params = _first_row(table, spec)
+    return row, _entry(row.value, params), _entry(row.meets_mr, params)
 
 
 def _table_prediction(table: tuple[TableRow, ...], parameter: str,
@@ -180,67 +190,73 @@ def predicted_Fplus(spec: FamilySpec) -> Prediction:
     return _table_prediction(TABLE2, "Fplus", spec)
 
 
-# Table 5.1 rows: (M, Z, M+, Z+) as functions of the parameters.  The half
-# graph rows for s <= 2 and the biclique row for m = n = 1 degenerate to
-# paths (H1 = P2, H2 = P4, K11 = P2), where the tabulated formulas do not
-# apply; those instances are served by the path row instead.
+@dataclass(frozen=True)
+class Table51Row:
+    """One row of the paper's Table 5.1: the instances it covers (``when``),
+    their maximum nullities and forcing numbers (M, Z, M+, Z+), Thm 5.2's
+    case for them (``fplus_lt_zplus``: whether F+ < Z+), and which of these
+    claims ("Z", "Zplus", "Thm 5.2") are known to disagree with the graphs
+    that ``build_family`` generates.  ``values`` and ``fplus_lt_zplus`` are
+    constants or functions of the parameters."""
+
+    kind: str
+    when: Callable[..., bool]
+    values: tuple[int, int, int, int] | Callable[..., tuple[int, int, int, int]]
+    fplus_lt_zplus: bool | Callable[..., bool]
+    known_discrepancies: tuple[str, ...] = ()
+
+
+# K_{1,1} = P_2, H_1 = P_2 and H_2 = P_4 take the path values; the
+# tabulated formulas do not apply to them.
+#
+# Known discrepancy: Table 5.1 gives Z = Z+ = s for the half-graph H_s, but
+# on the half-graph build_family generates (a and s+b adjacent iff a <= b,
+# as the failed-number results need) the search finds s - 1; in H_3 the two
+# least vertices of the second part force everything.  So Thm 5.2's case
+# "F+ < Z+ iff s <= 3" fails at s = 3 (F+ = Z+ = 2).  The suites report the
+# claims marked here as known discrepancies; every other claim must hold.
+TABLE51 = (
+    Table51Row("path", lambda n: True, (1, 1, 1, 1), True),
+    Table51Row("cycle", lambda n: True, (2, 2, 2, 2), True),
+    Table51Row("complete", lambda n: n >= 2, lambda n: (n - 1,) * 4, True),
+    Table51Row("hypercube", lambda d: True, lambda d: (1 << (d - 1),) * 4,
+               lambda d: d in (1, 2)),
+    Table51Row("wheel", lambda n: True, (3, 3, 3, 3), lambda n: n in (4, 5)),
+    Table51Row("biclique", lambda m, n: m == 1, (1, 1, 1, 1), True),
+    Table51Row("biclique", lambda m, n: m >= 2,
+               lambda m, n: (m + n - 2, m + n - 2, n, n),
+               lambda m, n: n == 1 or (m, n) in ((2, 2), (3, 3))),
+    Table51Row("halfgraph", lambda s: s <= 2, (1, 1, 1, 1), True),
+    Table51Row("halfgraph", lambda s: s == 3, (3, 3, 3, 3), True,
+               ("Z", "Zplus", "Thm 5.2")),
+    Table51Row("halfgraph", lambda s: s >= 4, lambda s: (s,) * 4, False,
+               ("Z", "Zplus")),
+)
+
+_TABLE51_PARAMETERS = ("M", "Z", "Mplus", "Zplus", "mr", "mrplus")
+
+
+def table51_lookup(spec: FamilySpec) -> tuple[Table51Row, tuple[int, ...], bool]:
+    """The Table 5.1 row of ``spec``, its values in the order of
+    _TABLE51_PARAMETERS (mr = n - M and mr+ = n - M+ by rank-nullity), and
+    its Thm 5.2 case."""
+    row, params = _first_row(TABLE51, spec)
+    m, z, mplus, zplus = _entry(row.values, params)
+    order = spec.order()
+    return (row, (m, z, mplus, zplus, order - m, order - mplus),
+            _entry(row.fplus_lt_zplus, params))
+
 
 def predicted_table51(spec: FamilySpec) -> list[Prediction]:
-    """Maximum-nullity / forcing-number table row, plus mr and mr+ via
-    rank-nullity (mr = n - M, mr+ = n - M+)."""
-    k, p = spec.kind, spec.params
-    order = spec.order()
-
-    def row(m_val: int, z_val: int, mp_val: int, zp_val: int) -> list[Prediction]:
-        src = "Table 5.1"
-        return [
-            Prediction("M", m_val, EXACT, src),
-            Prediction("Z", z_val, EXACT, src),
-            Prediction("Mplus", mp_val, EXACT, src),
-            Prediction("Zplus", zp_val, EXACT, src),
-            Prediction("mr", order - m_val, EXACT, src),
-            Prediction("mrplus", order - mp_val, EXACT, src),
-        ]
-
-    def path_row() -> list[Prediction]:
-        return row(1, 1, 1, 1)
-
-    if k == "path":
-        return path_row()
-    if k == "cycle":
-        return row(2, 2, 2, 2)
-    if k == "complete":
-        if p[0] == 1:
-            return path_row()
-        return row(p[0] - 1, p[0] - 1, p[0] - 1, p[0] - 1)
-    if k == "hypercube":
-        d = p[0]
-        if d == 1:
-            return row(1, 1, 1, 1)
-        if d == 2:
-            return row(2, 2, 2, 2)
-        h = 1 << (d - 1)
-        return row(h, h, h, h)
-    if k == "wheel":
-        return row(3, 3, 3, 3)
-    if k == "biclique":
-        m, n = p
-        if m + n == 2:
-            return path_row()
-        return row(m + n - 2, m + n - 2, min(m, n), min(m, n))
-    if k == "halfgraph":
-        s = p[0]
-        if s <= 2:
-            return path_row()
-        return row(s, s, s, s)
-    raise UnsupportedFamilyError(f"{k} is not covered by Table 5.1")
+    """M, Z, M+ and Z+ from the instance's Table 5.1 row, plus mr and mr+."""
+    values = table51_lookup(spec)[1]
+    return [Prediction(parameter, value, EXACT, "Table 5.1")
+            for parameter, value in zip(_TABLE51_PARAMETERS, values)]
 
 
 def table51_value(spec: FamilySpec, parameter: str) -> int:
-    for pred in predicted_table51(spec):
-        if pred.parameter == parameter:
-            return pred.value
-    raise KeyError(parameter)
+    """One of M, Z, Mplus, Zplus, mr and mrplus from the Table 5.1 row."""
+    return table51_lookup(spec)[1][_TABLE51_PARAMETERS.index(parameter)]
 
 
 def compose_disconnected(components: list[tuple[int, int]]) -> int:

@@ -393,11 +393,3 @@ def parse_graph(text: str) -> Graph:
         seen.add(key)
         edges.append(key)
     return graph_from_edges(n, edges)
-
-
-def serialize_graph(g: Graph) -> str:
-    """Inverse of parse_graph; edges emitted sorted with u < v."""
-    edges = g.edges()
-    lines = [f"{g.n} {len(edges)}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"

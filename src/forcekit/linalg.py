@@ -211,9 +211,3 @@ def rank_lower_bound_check(spec: FamilySpec, matrix: PatternMatrix) -> TheoremRe
     return TheoremReport(RANK_BOUND, spec.label(),
                          f"rank >= {label} = {bound}",
                          f"rank = {rank}", rank >= bound)
-
-
-def matrix_to_text(matrix: PatternMatrix) -> str:
-    """Whitespace-separated dense text form, one row per line."""
-    return "\n".join(" ".join(f"{v:.17g}" for v in row)
-                     for row in matrix.entries) + "\n"

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
 
 from .forcing import Rule, can_force_into, derived_set
-from .graphs import Graph, VertexSet, bits, components_within, mask_of
+from .graphs import Graph, VertexSet, bits, components_within
 
 DEFAULT_BUDGET = 20_000_000
 BRUTE_FORCE_MAX_N = 20
@@ -109,15 +108,6 @@ def zero_forcing_number(g: Graph, rule: Rule,
 
     extend(0, 0, -1, 0)
     return ExtremalResult(best, witness, rule, "min-forcing", "subset-search")
-
-
-def _ascending_subsets(n: int, tracker: _Budget):
-    """Nonempty subsets of range(n) by ascending size, lexicographic within
-    a size, spending one unit of budget per subset."""
-    for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            tracker.spend()
-            yield mask_of(combo)
 
 
 def is_fort(g: Graph, w: VertexSet, rule: Rule) -> bool:
@@ -288,25 +278,3 @@ def brute_failed_number(g: Graph, rule: Rule,
     if best_size < 0:
         raise AssertionError("unreachable: the empty set never forces n >= 1")
     return ExtremalResult(best_size, best, rule, "max-failed", "brute-force")
-
-
-def enumerate_maximal_failed(g: Graph, rule: Rule,
-                             budget: int | None = None) -> list[VertexSet]:
-    """All maximal failed sets, i.e. complements of minimal forts.
-
-    A failed set is maximal exactly when it is stalled and no proper stalled
-    superset exists, which dualizes to its complement being a minimal fort.
-    Results are sorted by vertex list.
-    """
-    if g.n > BRUTE_FORCE_MAX_N:
-        raise SearchBudgetExceeded(
-            f"enumerate_maximal_failed: n={g.n} exceeds the scan guard "
-            f"(n <= {BRUTE_FORCE_MAX_N})")
-    tracker = _Budget(resolve_budget(budget), "enumerate_maximal_failed")
-    minimal_forts: list[VertexSet] = []
-    for w in _ascending_subsets(g.n, tracker):
-        if any(f & w == f for f in minimal_forts):
-            continue
-        if not can_force_into(g, w, rule):
-            minimal_forts.append(w)
-    return sorted((g.full_mask & ~w for w in minimal_forts), key=bits)

@@ -6,13 +6,8 @@ Every suite returns a JSON-ready dict whose content depends only on its
 arguments (seed, ranges, jobs), never on wall time or scheduling, so two
 runs with the same inputs serialize byte-identically.
 
-One family of known upstream discrepancies is tracked explicitly: the
-tabulated forcing numbers for half-graphs claim Z = Z+ = s, but for the
-bipartite half-graph fixed by the generators the computed values are s - 1
-for s >= 2 (e.g. in H3 the two least vertices of the second part force
-everything).  Table checks report those rows as known discrepancies instead
-of failures, and the derived Thm 5.2 half-graph case at s = 3 inherits the
-same flag.
+A failed check counts as a known discrepancy, not a failure, only where
+its row of Table 5.1 (``formulas.TABLE51``) marks the claim as one.
 """
 
 from __future__ import annotations
@@ -23,10 +18,11 @@ import random
 from .forcing import Rule
 from .formulas import (
     EXACT,
+    TABLE51,
     compose_disconnected,
     predicted_F,
     predicted_Fplus,
-    predicted_table51,
+    table51_lookup,
 )
 from .graphs import (
     FamilySpec,
@@ -59,8 +55,7 @@ from .theorems import (
 )
 
 # The families that Table 5.1 tabulates Z, Z+, mr and mr+ for.
-_TABLE51_KINDS = ("path", "cycle", "complete", "hypercube", "wheel",
-                  "biclique", "halfgraph")
+_TABLE51_KINDS = tuple(dict.fromkeys(row.kind for row in TABLE51))
 
 # exhaustive6 scans 2^(n(n-1)/2) labeled graphs per order n: about 2.1M at
 # n = 7, 2^28 at n = 8.
@@ -108,14 +103,6 @@ def default_family_specs(max_n: int | None = None,
     if max_n is not None:
         specs = [s for s in specs if s.order() <= max_n]
     return specs
-
-
-def _table_discrepancy_expected(spec: FamilySpec, parameter: str) -> bool:
-    """Half-graph Z/Z+ rows disagree with search for s >= 3 (see module
-    docstring; s <= 2 is served by the path row and reproduces fine).
-    Everything else in the table must match exactly."""
-    return (spec.kind == "halfgraph" and spec.params[0] >= 3
-            and parameter in ("Z", "Zplus"))
 
 
 def _new_result(suite: str, **params) -> dict:
@@ -183,16 +170,16 @@ def run_table51(max_n: int | None = None, budget: int | None = None) -> dict:
     """Computed forcing numbers against the tabulated Z and Z+ columns."""
     result = _new_result("table51", max_n=max_n)
     for spec in default_family_specs(max_n, _TABLE51_KINDS):
-        preds = {p.parameter: p for p in predicted_table51(spec)}
+        row, (_, z, _, zplus, _, _), _ = table51_lookup(spec)
         g = build_family(spec)
-        for parameter, rule in (("Z", Rule.STANDARD), ("Zplus", Rule.PSD)):
+        for parameter, rule, want in (("Z", Rule.STANDARD, z),
+                                      ("Zplus", Rule.PSD, zplus)):
             got = zero_forcing_number(g, rule, budget).value
-            want = preds[parameter].value
             _record(result, {
                 "graph": spec.label(), "theorem": "Table 5.1",
                 "parameter": parameter, "expected": want, "observed": got,
                 "pass": got == want,
-            }, known_discrepancy=_table_discrepancy_expected(spec, parameter))
+            }, known_discrepancy=parameter in row.known_discrepancies)
     return _finish(result)
 
 
@@ -221,13 +208,13 @@ def run_characterizations(max_n: int | None = None,
     for spec in default_family_specs(max_n):
         (f, fp, _, zp), reports = _characterize(build_family(spec),
                                                 spec.label(), budget)
+        known = ()
         if spec.kind in _TABLE51_KINDS:
             reports += check_minrank_equalities(spec, f, fp)
+            known = table51_lookup(spec)[0].known_discrepancies
         reports += check_Fplus_lt_Zplus_cases(spec, fp, zp)
         for rep in reports:
-            known = (rep.theorem == "Thm 5.2" and spec.kind == "halfgraph"
-                     and spec.params[0] == 3)
-            _record(result, rep.as_dict(), known_discrepancy=known)
+            _record(result, rep.as_dict(), rep.theorem in known)
     return _finish(result)
 
 
@@ -380,7 +367,10 @@ _LINALG_UNIONS = ("cycle:3+path:2", "path:3+path:4", "complete:3+empty:2")
 def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
     """Kernel-support certificates and rank lower bounds on every family
     instance of order <= max_n, plus the few disjoint unions of order
-    <= max_n whose Laplacian kernels have dimension > 1."""
+    <= max_n whose Laplacian kernels have dimension > 1.  The seed must be
+    >= 0, as numpy's seed sequences need."""
+    if seed < 0:
+        raise SuiteUsageError(f"linalg takes a --seed >= 0, got {seed}")
     result = _new_result("linalg", seed=seed, trials=trials, max_n=max_n)
     specs = default_family_specs(max_n)
     unions = (parse_family(text) for text in _LINALG_UNIONS)

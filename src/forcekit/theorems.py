@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import (
-    TABLE1,
-    TABLE2,
-    UnsupportedFamilyError,
-    table51_value,
-    table_lookup,
-)
+from .formulas import TABLE1, TABLE2, table51_lookup, table_lookup
 from .graphs import (
     FamilySpec,
     Graph,
@@ -116,8 +110,7 @@ def check_minrank_equalities(spec: FamilySpec, f: int,
     minimum rank.  mr and mr+ come from the tabulated nullities via
     rank-nullity."""
     name = spec.label()
-    mr = table51_value(spec, "mr")
-    mrplus = table51_value(spec, "mrplus")
+    _, (*_, mr, mrplus), _ = table51_lookup(spec)
     return [
         TheoremReport.compare("Thm 5.7", name, table_lookup(TABLE1, spec)[2],
                               f == mr),
@@ -126,25 +119,10 @@ def check_minrank_equalities(spec: FamilySpec, f: int,
     ]
 
 
-def _fplus_lt_zplus_expected(spec: FamilySpec) -> bool:
-    k, p = spec.kind, spec.params
-    if k in ("path", "cycle", "complete", "marytree", "empty"):
-        return True
-    if k == "hypercube":
-        return p[0] in (1, 2)
-    if k == "wheel":
-        return p[0] in (4, 5)
-    if k == "biclique":
-        m, n = p
-        return min(m, n) == 1 or (m, n) in ((2, 2), (3, 3))
-    if k == "halfgraph":
-        return p[0] <= 3
-    raise UnsupportedFamilyError(f"{k} not covered")
-
-
 def check_Fplus_lt_Zplus_cases(spec: FamilySpec, fplus: int,
                                zplus: int) -> list[TheoremReport]:
-    """Family-by-family characterization of when F+ falls below Z+."""
-    return [TheoremReport.compare("Thm 5.2", spec.label(),
-                                  _fplus_lt_zplus_expected(spec),
+    """Thm 5.2: F+ < Z+ exactly where the family's row of Table 5.1 says
+    so; trees and edgeless graphs, outside the table, always have it."""
+    expected = spec.kind in ("marytree", "empty") or table51_lookup(spec)[2]
+    return [TheoremReport.compare("Thm 5.2", spec.label(), expected,
                                   fplus < zplus)]

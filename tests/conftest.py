@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from forcekit.forcing import Rule, can_force_into, derived_set
 from forcekit.graphs import (
     Graph,
+    VertexSet,
     bits,
     build_family,
     components_within,
@@ -13,10 +14,14 @@ from forcekit.graphs import (
     graph_from_edges,
     mask_of,
 )
+from forcekit.linalg import PatternMatrix
 from forcekit.search import (
+    BRUTE_FORCE_MAX_N,
+    SearchBudgetExceeded,
+    _Budget,
     brute_failed_number,
-    enumerate_maximal_failed,
     failed_number,
+    resolve_budget,
 )
 from forcekit.suites import _finish, _new_result, _record, default_family_specs
 
@@ -170,3 +175,48 @@ def _induced(g: Graph, sub: int) -> Graph:
     edges = [(index[u], index[v]) for u in verts
              for v in bits(g.adj[u]) if u < v and sub & (1 << v)]
     return graph_from_edges(len(verts), edges)
+
+
+def _ascending_subsets(n: int, tracker: _Budget):
+    """Nonempty subsets of range(n) by ascending size, lexicographic within
+    a size, spending one unit of budget per subset."""
+    for k in range(1, n + 1):
+        for combo in combinations(range(n), k):
+            tracker.spend()
+            yield mask_of(combo)
+
+
+def enumerate_maximal_failed(g: Graph, rule: Rule,
+                             budget: int | None = None) -> list[VertexSet]:
+    """All maximal failed sets, i.e. complements of minimal forts.
+
+    A failed set is maximal exactly when it is stalled and no proper stalled
+    superset exists, which dualizes to its complement being a minimal fort.
+    Results are sorted by vertex list.
+    """
+    if g.n > BRUTE_FORCE_MAX_N:
+        raise SearchBudgetExceeded(
+            f"enumerate_maximal_failed: n={g.n} exceeds the scan guard "
+            f"(n <= {BRUTE_FORCE_MAX_N})")
+    tracker = _Budget(resolve_budget(budget), "enumerate_maximal_failed")
+    minimal_forts: list[VertexSet] = []
+    for w in _ascending_subsets(g.n, tracker):
+        if any(f & w == f for f in minimal_forts):
+            continue
+        if not can_force_into(g, w, rule):
+            minimal_forts.append(w)
+    return sorted((g.full_mask & ~w for w in minimal_forts), key=bits)
+
+
+def serialize_graph(g: Graph) -> str:
+    """Inverse of parse_graph; edges emitted sorted with u < v."""
+    edges = g.edges()
+    lines = [f"{g.n} {len(edges)}"]
+    lines.extend(f"{u} {v}" for u, v in edges)
+    return "\n".join(lines) + "\n"
+
+
+def matrix_to_text(matrix: PatternMatrix) -> str:
+    """Whitespace-separated dense text form, one row per line."""
+    return "\n".join(" ".join(f"{v:.17g}" for v in row)
+                     for row in matrix.entries) + "\n"

@@ -144,6 +144,13 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--family", "path:3", *argv)
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("params", ["", ",", " , "])
+    def test_params_naming_nothing_exits_2(self, capsys, params):
+        code, out, err = run_cli(capsys, "analyze", "--family", "path:3",
+                                 "--params", params)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_budget_exceeded_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--family", "hypercube:4",
                                "--budget", "0")
@@ -240,6 +247,20 @@ class TestVerify:
         unions = {spec.label() for spec in built if spec.kind == "union"}
         assert unions == ({"cycle:3+path:2", "complete:3+empty:2"}
                           if max_n == 5 else set())
+
+    def test_linalg_refuses_a_negative_seed(self, capsys, monkeypatch):
+        # numpy seed sequences need seeds >= 0; random.Random, which the
+        # disconnected suite seeds, takes any integer
+        built = []
+        monkeypatch.setattr(suites, "build_family", built.append)
+        code, out, err = run_cli(capsys, "verify", "--suite", "linalg",
+                                 "--seed", "-1", "--json")
+        assert (code, out, built) == (2, "", [])
+        assert err == "error: linalg takes a --seed >= 0, got -1\n"
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "verify", "--suite", "disconnected",
+                               "--seed", "-1", "--json")
+        assert code == 0 and json.loads(out)["params"]["seed"] == -1
 
     def test_reports_known_discrepancies(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "table51",

@@ -6,6 +6,7 @@ from forcekit.formulas import (
     LOWER_BOUND,
     TABLE1,
     TABLE2,
+    TABLE51,
     Prediction,
     UnsupportedFamilyError,
     compose_disconnected,
@@ -13,6 +14,7 @@ from forcekit.formulas import (
     predicted_failed_union,
     predicted_Fplus,
     predicted_table51,
+    table51_lookup,
     table51_value,
     table_lookup,
 )
@@ -158,6 +160,26 @@ class TestTable51:
 
     def test_wheel_row(self):
         assert table51_value(spec("wheel:9"), "mr") == 6
+
+    def test_rows_and_default_instances_cover_each_other(self):
+        # every default instance of the seven tabulated kinds has a row,
+        # and every row serves some default instance
+        kinds = ("path", "cycle", "complete", "hypercube", "wheel",
+                 "biclique", "halfgraph")
+        assert set(_TABLE51_KINDS) == set(kinds)
+        rows = [table51_lookup(s)[0] for s in default_family_specs(kinds=kinds)]
+        assert set(map(id, rows)) == set(map(id, TABLE51))
+
+    def test_known_discrepancies_marked_only_on_half_graphs(self):
+        # a mark turns a failure of that claim into a known discrepancy, so
+        # a mark where the claim holds would hide a later regression
+        marked = {(s.label(), claim)
+                  for s in default_family_specs(kinds=_TABLE51_KINDS)
+                  for claim in table51_lookup(s)[0].known_discrepancies}
+        assert marked == {("halfgraph:3", "Z"), ("halfgraph:3", "Zplus"),
+                          ("halfgraph:3", "Thm 5.2"),
+                          ("halfgraph:4", "Z"), ("halfgraph:4", "Zplus"),
+                          ("halfgraph:5", "Z"), ("halfgraph:5", "Zplus")}
 
     @pytest.mark.parametrize("text", ["marytree:2,5", "empty:3",
                                       "cycle:3+path:2"])

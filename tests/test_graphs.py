@@ -23,10 +23,9 @@ from forcekit.graphs import (
     mask_of,
     parse_family,
     parse_graph,
-    serialize_graph,
 )
 
-from conftest import graph_from_edge_mask, graphs
+from conftest import graph_from_edge_mask, graphs, serialize_graph
 
 
 def fam(text):

@@ -7,7 +7,6 @@ from forcekit.linalg import (
     PatternMatrix,
     PatternMismatchError,
     kernel_basis,
-    matrix_to_text,
     numerical_rank,
     rank_lower_bound_check,
     sample_pattern_matrix,
@@ -19,7 +18,7 @@ from forcekit.linalg import (
 
 from forcekit.suites import run_linalg
 
-from conftest import seeded_random_graph
+from conftest import matrix_to_text, seeded_random_graph
 
 
 def fam(text):

@@ -12,7 +12,6 @@ from forcekit.search import (
     DEFAULT_BUDGET,
     SearchBudgetExceeded,
     brute_failed_number,
-    enumerate_maximal_failed,
     failed_number,
     is_fort,
     min_fort,
@@ -22,6 +21,7 @@ from forcekit.search import (
 from conftest import (
     ascending_min_fort,
     ascending_zero_forcing,
+    enumerate_maximal_failed,
     graph_from_edge_mask,
     graph_with_subset,
     graphs,

@@ -155,6 +155,20 @@ class TestFplusLtZplus:
         g, _, _, fp, zp = computed(text)
         assert all_pass(check_Fplus_lt_Zplus_cases(parse_family(text), fp, zp))
 
+    def test_expected_side_of_every_default_instance(self):
+        # the default instances where Thm 5.2 says F+ is not below Z+
+        not_below = {"wheel:6", "wheel:7", "wheel:8", "wheel:9", "wheel:10",
+                     "wheel:11", "wheel:12", "hypercube:3", "hypercube:4",
+                     "halfgraph:4", "halfgraph:5", "biclique:3,2",
+                     "biclique:4,2", "biclique:4,3", "biclique:4,4",
+                     "biclique:5,2", "biclique:5,3", "biclique:5,4",
+                     "biclique:5,5"}
+        specs = default_family_specs()
+        assert not_below <= {s.label() for s in specs}
+        for spec in specs:
+            [rep] = check_Fplus_lt_Zplus_cases(spec, 0, 1)
+            assert rep.expected == (spec.label() not in not_below), spec.label()
+
     def test_halfgraph3_inherits_table_discrepancy(self):
         # the tabulated Z+ = 3 would put H3 on the strict side, but the
         # computed Z+ is 2, so the derived claim fails there
