@@ -8,8 +8,8 @@ closed forms, checks the characterization theorems (exhaustively on small
 orders), and verifies the kernel-support certificates numerically.
 """
 
-from .forcing import Force, ForcingTrace, Rule, closure, derived_set, \
-    is_failed_set, is_forcing_set, is_stalled, step
+from .forcing import Rule, derived_set, is_failed_set, is_forcing_set, \
+    is_stalled
 from .formulas import Prediction, UnsupportedFamilyError, \
     compose_disconnected, predicted_F, predicted_failed_union, \
     predicted_Fplus, predicted_table51
@@ -28,8 +28,7 @@ from .theorems import TheoremReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "Force", "ForcingTrace", "Rule", "closure", "derived_set",
-    "is_failed_set", "is_forcing_set", "is_stalled", "step",
+    "Rule", "derived_set", "is_failed_set", "is_forcing_set", "is_stalled",
     "Prediction", "UnsupportedFamilyError", "compose_disconnected",
     "predicted_F", "predicted_failed_union", "predicted_Fplus",
     "predicted_table51",

@@ -120,7 +120,9 @@ def _predictions_for(spec: FamilySpec) -> list[dict]:
 
 
 def _analyze(args) -> int:
-    params = [p.strip().upper() for p in args.params.split(",") if p.strip()]
+    # each parameter once, in the order first named
+    params = list(dict.fromkeys(
+        p.strip().upper() for p in args.params.split(",") if p.strip()))
     if not params:
         raise FamilyError(f"--params {args.params!r} names no parameter, "
                           "choose from Z,F")

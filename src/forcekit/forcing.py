@@ -1,19 +1,16 @@
-"""Color-change rules: one-step operators, closures, and set classification.
+"""Color-change rules and set classification.
 
-Both rules use synchronous semantics: every force valid against the
-pre-step coloring is applied at once, so the derived coloring and the
-recorded trace are fully deterministic.  When several blue vertices can
-force the same white vertex in one iteration, the trace credits the
-least-index forcer.
+The derived set is reached in synchronous rounds: each round colors every
+white vertex that some blue vertex forces against the coloring at its
+start.  Both rules are monotone, so the final coloring is the same in
+whatever order the forces are applied.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import NamedTuple
 
-from .graphs import Graph, VertexSet, components_within, mask_of
+from .graphs import Graph, VertexSet, components_within
 
 
 class Rule(enum.Enum):
@@ -21,25 +18,6 @@ class Rule(enum.Enum):
 
     STANDARD = "standard"
     PSD = "psd"
-
-
-class Force(NamedTuple):
-    forcer: int
-    forced: int
-    iteration: int
-
-
-@dataclass(frozen=True)
-class ForcingTrace:
-    """Chronological record of all forces performed during a closure."""
-
-    steps: tuple[Force, ...]
-
-    def replay(self, initial: VertexSet) -> VertexSet:
-        mask = initial
-        for f in self.steps:
-            mask |= 1 << f.forced
-        return mask
 
 
 def _check_subset(g: Graph, blue: VertexSet) -> None:
@@ -58,21 +36,19 @@ def _scopes(g: Graph, white: VertexSet, rule: Rule):
     return (white,) if rule is _STANDARD else components_within(g, white)
 
 
-def _forces(g: Graph, blue: VertexSet, rule: Rule) -> dict[int, int]:
-    """forced vertex -> least blue forcer, against the current coloring."""
+def _forced(g: Graph, blue: VertexSet, rule: Rule) -> VertexSet:
+    """The white vertices that some blue vertex forces against the current
+    coloring."""
     adj = g.adj
-    forced: dict[int, int] = {}
+    forced = 0
     for scope in _scopes(g, g.full_mask & ~blue, rule):
         b = blue
         while b:
             lsb = b & -b
             b ^= lsb
-            u = lsb.bit_length() - 1
-            m = adj[u] & scope
+            m = adj[lsb.bit_length() - 1] & scope
             if m and not m & (m - 1):
-                v = m.bit_length() - 1
-                if v not in forced:
-                    forced[v] = u
+                forced |= m
     return forced
 
 
@@ -93,37 +69,12 @@ def can_force_into(g: Graph, white: VertexSet, rule: Rule) -> bool:
     return False
 
 
-def step(g: Graph, blue: VertexSet, rule: Rule) -> tuple[VertexSet, list[Force]]:
-    """Apply one synchronous round of the rule; returns the new blue set and
-    the forces performed, ordered by forced vertex."""
-    _check_subset(g, blue)
-    forced = _forces(g, blue, rule)
-    return blue | mask_of(forced), [Force(forced[v], v, 1) for v in sorted(forced)]
-
-
-def closure(g: Graph, blue: VertexSet, rule: Rule) -> tuple[VertexSet, ForcingTrace]:
-    """Iterate the rule to its fixpoint (the derived coloring)."""
-    _check_subset(g, blue)
-    steps: list[Force] = []
-    iteration = 0
-    while True:
-        forced = _forces(g, blue, rule)
-        if not forced:
-            return blue, ForcingTrace(tuple(steps))
-        iteration += 1
-        steps.extend(Force(forced[v], v, iteration) for v in sorted(forced))
-        blue |= mask_of(forced)
-
-
 def derived_set(g: Graph, blue: VertexSet, rule: Rule) -> VertexSet:
-    """Closure without trace bookkeeping (the hot path for searches)."""
+    """The final coloring reached from blue (the hot path of the searches)."""
     _check_subset(g, blue)
-    while True:
-        forced = _forces(g, blue, rule)
-        if not forced:
-            return blue
-        for v in forced:
-            blue |= 1 << v
+    while forced := _forced(g, blue, rule):
+        blue |= forced
+    return blue
 
 
 def is_forcing_set(g: Graph, s: VertexSet, rule: Rule) -> bool:

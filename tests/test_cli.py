@@ -151,6 +151,19 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("params, rule, rows", [
+        ("Z,z,Z", "standard", [("standard", "Z")]),
+        ("Z,z,Z", "both", [("standard", "Z"), ("psd", "Zplus")]),
+        ("f,Z,F", "standard", [("standard", "F"), ("standard", "Z")]),
+    ])
+    def test_repeated_params_give_one_row_each(self, capsys, params, rule,
+                                               rows):
+        code, out, _ = run_cli(capsys, "analyze", "--family", "path:3",
+                               "--params", params, "--rule", rule, "--json")
+        computed = json.loads(out)["computed"]
+        assert code == 0
+        assert [(e["rule"], e["parameter"]) for e in computed] == rows
+
     def test_budget_exceeded_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--family", "hypercube:4",
                                "--budget", "0")
