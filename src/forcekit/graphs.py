@@ -9,6 +9,7 @@ these masks; ``bits()`` / ``mask_of()`` convert to and from index lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 MAX_VERTICES = 63
 
@@ -100,14 +101,57 @@ def graph_from_edges(n: int, edges) -> Graph:
 # Named families
 # ---------------------------------------------------------------------------
 
-FAMILY_KINDS = (
-    "path", "cycle", "complete", "wheel", "biclique",
-    "hypercube", "halfgraph", "marytree", "empty",
-)
+class _Family(NamedTuple):
+    """A row of ``_FAMILIES``.  ``checks`` holds the (condition, message)
+    pairs the parameters must meet, in order; a message is formatted with
+    the parameters, ``kind`` and ``label``."""
 
-_FAMILY_ARITY = {k: 1 for k in FAMILY_KINDS}
-_FAMILY_ARITY["biclique"] = 2
-_FAMILY_ARITY["marytree"] = 2
+    arity: int
+    checks: tuple
+    edges: Callable[..., list]  # of the canonical labeled instance
+    order: Callable[..., int] = lambda n: n
+
+
+_TOO_BIG = f"{{label}} has more than {MAX_VERTICES} vertices"
+
+
+def _at_least(lo: int) -> tuple:
+    return ((lambda n: n >= lo, f"{{kind}} needs parameter >= {lo}, got {{0}}"),)
+
+
+# Labeling conventions: a path or cycle runs 0, 1, ..., n-1; the wheel rim
+# is the cycle 0..n-2 with the hub last; biclique parts are 0..m-1 and
+# m..m+n-1; hypercube vertices are their binary labels, adjacent iff the
+# labels differ in exactly one bit; half-graph parts are 0..s-1 and
+# s..2s-1 with a ~ s+b iff a <= b; marytree is filled level by level
+# (vertex k's parent is (k-1) // m).  A hypercube's order 2^d is capped
+# through d, so that no absurd d builds a huge 1 << d.
+_FAMILIES = {
+    "path": _Family(1, _at_least(1), lambda n: [(i, i + 1) for i in range(n - 1)]),
+    "cycle": _Family(1, _at_least(3), lambda n: [
+        (i, (i + 1) % n) for i in range(n)]),
+    "complete": _Family(1, _at_least(1), lambda n: [
+        (i, j) for i in range(n) for j in range(i + 1, n)]),
+    "wheel": _Family(1, _at_least(4), lambda n: [
+        e for i in range(n - 1) for e in ((i, (i + 1) % (n - 1)), (i, n - 1))]),
+    "biclique": _Family(
+        2, ((lambda m, n: min(m, n) >= 1, "biclique needs both part sizes >= 1"),),
+        lambda m, n: [(i, m + j) for i in range(m) for j in range(n)],
+        lambda m, n: m + n),
+    "hypercube": _Family(
+        1, _at_least(1) + ((lambda d: d < MAX_VERTICES.bit_length(), _TOO_BIG),),
+        lambda d: [(v, v | 1 << b) for v in range(1 << d) for b in range(d)
+                   if not v & 1 << b],
+        lambda d: 1 << d),
+    "halfgraph": _Family(1, _at_least(1), lambda s: [
+        (a, s + b) for a in range(s) for b in range(a, s)], lambda s: 2 * s),
+    "marytree": _Family(
+        2, ((lambda m, n: m >= 2, "marytree arity must be >= 2"),
+            (lambda m, n: n >= 1, "marytree needs at least one vertex")),
+        lambda m, n: [((j - 1) // m, j) for j in range(1, n)], lambda m, n: n),
+    "empty": _Family(1, _at_least(1), lambda n: []),
+}
+FAMILY_KINDS = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -129,55 +173,33 @@ class FamilySpec:
                 raise FamilyError("union needs at least two members")
             if any(m.kind == "union" for m in self.members):
                 raise FamilyError("nested unions are not supported")
+            if self.order() > MAX_VERTICES:
+                raise FamilyError(f"union has {self.order()} vertices > "
+                                  f"{MAX_VERTICES}")
             return
-        if self.kind not in FAMILY_KINDS:
+        row = _FAMILIES.get(self.kind)
+        if row is None:
             raise FamilyError(f"unknown family kind {self.kind!r}")
-        if len(self.params) != _FAMILY_ARITY[self.kind]:
-            raise FamilyError(
-                f"{self.kind} takes {_FAMILY_ARITY[self.kind]} parameter(s), "
-                f"got {len(self.params)}")
-        _check_family_bounds(self.kind, self.params)
-        # A hypercube's order 2^d is capped through d, so that no absurd d
-        # builds a huge 1 << d.
-        too_big = (self.params[0] >= MAX_VERTICES.bit_length()
-                   if self.kind == "hypercube" else self.order() > MAX_VERTICES)
-        if too_big:
-            raise FamilyError(f"{self.label()} has more than {MAX_VERTICES} "
-                              "vertices")
+        if len(self.params) != row.arity:
+            raise FamilyError(f"{self.kind} takes {row.arity} parameter(s), "
+                              f"got {len(self.params)}")
+        for holds, message in row.checks:
+            if not holds(*self.params):
+                raise FamilyError(message.format(*self.params, kind=self.kind,
+                                                 label=self.label()))
+        if self.order() > MAX_VERTICES:
+            raise FamilyError(_TOO_BIG.format(label=self.label()))
 
     def order(self) -> int:
         """Number of vertices of the generated instance."""
         if self.kind == "union":
             return sum(m.order() for m in self.members)
-        if self.kind == "biclique":
-            return self.params[0] + self.params[1]
-        if self.kind == "hypercube":
-            return 1 << self.params[0]
-        if self.kind == "halfgraph":
-            return 2 * self.params[0]
-        if self.kind == "marytree":
-            return self.params[1]
-        return self.params[0]
+        return _FAMILIES[self.kind].order(*self.params)
 
     def label(self) -> str:
         if self.kind == "union":
             return "+".join(m.label() for m in self.members)
         return f"{self.kind}:" + ",".join(str(p) for p in self.params)
-
-
-def _check_family_bounds(kind: str, params: tuple[int, ...]) -> None:
-    lo = {"path": 1, "cycle": 3, "complete": 1, "wheel": 4, "empty": 1,
-          "halfgraph": 1, "hypercube": 1}
-    if kind in lo and params[0] < lo[kind]:
-        raise FamilyError(f"{kind} needs parameter >= {lo[kind]}, got {params[0]}")
-    if kind == "biclique" and (params[0] < 1 or params[1] < 1):
-        raise FamilyError("biclique needs both part sizes >= 1")
-    if kind == "marytree":
-        m, n = params
-        if m < 2:
-            raise FamilyError("marytree arity must be >= 2")
-        if n < 1:
-            raise FamilyError("marytree needs at least one vertex")
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -189,6 +211,8 @@ def parse_family(text: str) -> FamilySpec:
             raise FamilyError(f"bad family syntax {part!r}, expected kind:params")
         kind, _, arg = part.partition(":")
         kind = kind.strip()
+        if kind == "union":  # the DSL writes a union with "+"
+            raise FamilyError(f"unknown family kind {kind!r}")
         try:
             params = tuple(int(x) for x in arg.split(","))
         except ValueError:
@@ -196,58 +220,17 @@ def parse_family(text: str) -> FamilySpec:
         specs.append(FamilySpec(kind, params))
     if len(specs) == 1:
         return specs[0]
-    total = sum(s.order() for s in specs)
-    if total > MAX_VERTICES:
-        raise FamilyError(f"union has {total} vertices > {MAX_VERTICES}")
     return FamilySpec("union", members=tuple(specs))
 
 
 def build_family(spec: FamilySpec) -> Graph:
-    """Build the canonical labeled instance of a family spec.
-
-    Labeling conventions: wheel rim is the cycle 0..n-2 with the hub last;
-    hypercube vertices are their binary labels, adjacent iff the labels
-    differ in exactly one bit; half-graph parts are 0..s-1 and s..2s-1 with
-    a ~ s+b iff a <= b; marytree is filled level by level (vertex k's parent
-    is (k-1) // m).
-    """
-    k, p = spec.kind, spec.params
-    if k == "union":
+    """Build the canonical labeled instance of a family spec."""
+    if spec.kind == "union":
         g = build_family(spec.members[0])
         for member in spec.members[1:]:
             g = disjoint_union(g, build_family(member))
         return g
-    if k == "path":
-        return graph_from_edges(p[0], [(i, i + 1) for i in range(p[0] - 1)])
-    if k == "cycle":
-        n = p[0]
-        return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    if k == "complete":
-        n = p[0]
-        return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if k == "empty":
-        return Graph(p[0], (0,) * p[0])
-    if k == "wheel":
-        n = p[0]
-        rim = [(i, (i + 1) % (n - 1)) for i in range(n - 1)]
-        spokes = [(i, n - 1) for i in range(n - 1)]
-        return graph_from_edges(n, rim + spokes)
-    if k == "biclique":
-        m, n = p
-        return graph_from_edges(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-    if k == "hypercube":
-        d = p[0]
-        n = 1 << d
-        return graph_from_edges(n, [(v, v ^ (1 << b)) for v in range(n)
-                                    for b in range(d) if v < v ^ (1 << b)])
-    if k == "halfgraph":
-        s = p[0]
-        return graph_from_edges(2 * s, [(a, s + b) for a in range(s)
-                                        for b in range(a, s)])
-    if k == "marytree":
-        m, n = p
-        return graph_from_edges(n, [((j - 1) // m, j) for j in range(1, n)])
-    raise FamilyError(f"unknown family kind {k!r}")
+    return graph_from_edges(spec.order(), _FAMILIES[spec.kind].edges(*spec.params))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

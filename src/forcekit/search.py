@@ -57,16 +57,13 @@ class _Budget:
 class ExtremalResult:
     """An extremal value with its witness set.
 
-    kind is "min-forcing" or "max-failed"; method records how the value was
-    obtained ("subset-search", "fort-search" or "brute-force").  The witness
-    always has exactly ``value`` vertices and verifies under the forcing
-    engine as forcing resp. failed.
+    method records how the value was obtained ("subset-search", "fort-search"
+    or "brute-force").  The witness always has exactly ``value`` vertices
+    and verifies under the forcing engine as forcing resp. failed.
     """
 
     value: int
     witness: VertexSet
-    rule: Rule
-    kind: str
     method: str
 
     def witness_vertices(self) -> list[int]:
@@ -107,7 +104,7 @@ def zero_forcing_number(g: Graph, rule: Rule,
                 extend(prefix | (1 << v), cl | (1 << v), v, size + 1)
 
     extend(0, 0, -1, 0)
-    return ExtremalResult(best, witness, rule, "min-forcing", "subset-search")
+    return ExtremalResult(best, witness, "subset-search")
 
 
 def is_fort(g: Graph, w: VertexSet, rule: Rule) -> bool:
@@ -251,8 +248,7 @@ def failed_number(g: Graph, rule: Rule, budget: int | None = None) -> ExtremalRe
     """
     w = min_fort(g, rule, budget)
     witness = g.full_mask & ~w
-    return ExtremalResult(g.n - w.bit_count(), witness, rule,
-                          "max-failed", "fort-search")
+    return ExtremalResult(g.n - w.bit_count(), witness, "fort-search")
 
 
 def brute_failed_number(g: Graph, rule: Rule,
@@ -277,4 +273,4 @@ def brute_failed_number(g: Graph, rule: Rule,
                 best = mask
     if best_size < 0:
         raise AssertionError("unreachable: the empty set never forces n >= 1")
-    return ExtremalResult(best_size, best, rule, "max-failed", "brute-force")
+    return ExtremalResult(best_size, best, "brute-force")

@@ -1,11 +1,15 @@
 import itertools
+import re
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 
 from forcekit.graphs import (
+    FAMILY_KINDS,
     FamilyError,
+    FamilySpec,
     Graph,
     GraphFormatError,
     bits,
@@ -24,8 +28,18 @@ from forcekit.graphs import (
     parse_family,
     parse_graph,
 )
+from forcekit.suites import default_family_specs
 
 from conftest import graph_from_edge_mask, graphs, serialize_graph
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The least parameters each kind accepts.
+LOWEST = {
+    "path": (1,), "cycle": (3,), "complete": (1,), "wheel": (4,),
+    "biclique": (1, 1), "hypercube": (1,), "halfgraph": (1,),
+    "marytree": (2, 1), "empty": (1,),
+}
 
 
 def fam(text):
@@ -147,6 +161,86 @@ class TestFamilies:
         spec = parse_family("cycle:3+path:2")
         assert spec.label() == "cycle:3+path:2"
         assert spec.order() == 5
+
+
+class TestFamilyErrors:
+    @pytest.mark.parametrize("text,message", [
+        ("path:0", "path needs parameter >= 1, got 0"),
+        ("cycle:2", "cycle needs parameter >= 3, got 2"),
+        ("complete:0", "complete needs parameter >= 1, got 0"),
+        ("wheel:3", "wheel needs parameter >= 4, got 3"),
+        ("biclique:0,2", "biclique needs both part sizes >= 1"),
+        ("biclique:2,0", "biclique needs both part sizes >= 1"),
+        ("hypercube:0", "hypercube needs parameter >= 1, got 0"),
+        ("hypercube:-1", "hypercube needs parameter >= 1, got -1"),
+        ("halfgraph:0", "halfgraph needs parameter >= 1, got 0"),
+        ("marytree:1,5", "marytree arity must be >= 2"),
+        ("marytree:2,0", "marytree needs at least one vertex"),
+        ("marytree:1,0", "marytree arity must be >= 2"),
+        ("empty:0", "empty needs parameter >= 1, got 0"),
+        ("path:64", "path:64 has more than 63 vertices"),
+        ("empty:64", "empty:64 has more than 63 vertices"),
+        ("biclique:32,32", "biclique:32,32 has more than 63 vertices"),
+        ("halfgraph:32", "halfgraph:32 has more than 63 vertices"),
+        ("marytree:2,64", "marytree:2,64 has more than 63 vertices"),
+        ("hypercube:6", "hypercube:6 has more than 63 vertices"),
+        ("hypercube:20000", "hypercube:20000 has more than 63 vertices"),
+        ("biclique:3", "biclique takes 2 parameter(s), got 1"),
+        ("path:3,4", "path takes 1 parameter(s), got 2"),
+        ("frob:3", "unknown family kind 'frob'"),
+        ("path:4+path:70", "path:70 has more than 63 vertices"),
+        ("empty:40+empty:30", "union has 70 vertices > 63"),
+    ])
+    def test_exact_message(self, text, message):
+        with pytest.raises(FamilyError) as exc:
+            parse_family(text)
+        assert str(exc.value) == message
+
+    def test_union_cap_enforced_by_spec(self):
+        members = (FamilySpec("empty", (40,)), FamilySpec("empty", (30,)))
+        with pytest.raises(FamilyError) as exc:
+            FamilySpec("union", members=members)
+        assert str(exc.value) == "union has 70 vertices > 63"
+
+    @pytest.mark.parametrize("text", ["union:3+path:2", "union:3",
+                                      "path:2+union:1,2"])
+    def test_union_is_no_dsl_kind(self, text):
+        with pytest.raises(FamilyError) as exc:
+            parse_family(text)
+        assert str(exc.value) == "unknown family kind 'union'"
+
+
+class TestFamilyKinds:
+    def test_lowest_covers_every_kind(self):
+        assert set(LOWEST) == set(FAMILY_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(LOWEST))
+    def test_lowest_parameters(self, kind):
+        spec = FamilySpec(kind, LOWEST[kind])
+        assert build_family(spec).n == spec.order()
+        assert parse_family(spec.label()) == spec
+        for i in range(len(spec.params)):
+            lower = list(spec.params)
+            lower[i] -= 1
+            with pytest.raises(FamilyError):
+                FamilySpec(kind, tuple(lower))
+
+    def test_default_instances(self):
+        for spec in default_family_specs():
+            assert build_family(spec).n == spec.order(), spec
+            assert parse_family(spec.label()) == spec
+
+    def test_readme_family_dsl_names_every_kind(self):
+        text = README.read_text(encoding="utf-8")
+        paragraph = re.search(r"^Family DSL:.*?(?=\n\n)", text,
+                              re.S | re.M).group(0)
+        examples = re.findall(r"`([a-z]+:[^`]*)`", paragraph)
+        kinds = set()
+        for example in examples:
+            spec = parse_family(example)
+            members = spec.members or (spec,)
+            kinds.update(m.kind for m in members)
+        assert kinds == set(FAMILY_KINDS)
 
 
 class TestDisjointUnion:

@@ -97,6 +97,23 @@ class TestExhaustive:
         assert res["ok"] and res["graphs_checked"] == 75
         assert all(t["failed"] == 0 for t in res["by_theorem"].values())
 
+    def test_tallies_every_theorem_it_meets(self, monkeypatch):
+        # a check added to _characterize needs no second list of names
+        check_F_vs_Z = suites.check_F_vs_Z
+
+        def with_extra(g, name, *values):
+            return check_F_vs_Z(g, name, *values) + [
+                TheoremReport.compare("Extra", name, True, g.n < 3)]
+
+        monkeypatch.setattr(suites, "check_F_vs_Z", with_extra)
+        res = run_exhaustive(max_n=3, jobs=1)
+        assert res["graphs_checked"] == 11  # 1 + 2 + 8
+        assert res["by_theorem"]["Extra"] == {"passed": 0, "failed": 1}
+        assert res["by_theorem"]["Thm 5.1"] == {"passed": 1, "failed": 0}
+        [check] = res["checks"]
+        assert (check["theorem"], check["expected"], check["observed"]) == (
+            "Extra", "0 violations in 11", "8 violations")
+
     def test_jobs_do_not_change_output(self):
         serial = run_exhaustive(max_n=4, jobs=1)
         parallel = run_exhaustive(max_n=4, jobs=2)
