@@ -14,18 +14,23 @@ largest are kernel directions (KERNEL_TOL); coordinates below 1e-7 of a
 vector's max magnitude count as zero (SUPPORT_TOL); entries above 1e-12
 are nonzero in the pattern (PATTERN_TOL).  Sampled entries are O(1), so
 the thresholds sit well clear of rounding noise at these dimensions.
+
+numpy is imported inside the functions that use it, so importing forcekit
+(or running a search or a suite without certificates) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .forcing import Rule, is_failed_set
 from .formulas import table51_value
 from .graphs import FamilySpec, Graph, mask_of
 from .theorems import TheoremReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KERNEL_TOL = 1e-9
 SUPPORT_TOL = 1e-7
@@ -48,6 +53,7 @@ class PatternMatrix:
     psd: bool = False
 
     def __post_init__(self):
+        import numpy as np
         a = self.entries
         n = self.graph.n
         if a.shape != (n, n):
@@ -67,12 +73,14 @@ class PatternMatrix:
 
 def _edge_positions(g: Graph) -> np.ndarray:
     """Rows and columns (i < j) of g's edges in row-major order, 2 x m."""
+    import numpy as np
     return np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
 
 
 def _sampled_entries(g: Graph, rng: np.random.Generator) -> np.ndarray:
     """Entries of a random symmetric matrix fitting g: edge entries uniform
     over [-2,-0.5] u [0.5,2], free diagonal uniform over [-2,2]."""
+    import numpy as np
     rows, cols = _edge_positions(g)
     # A magnitude and then a sign per edge, in row-major order.  The sign is
     # the draw rng.choice((-1.0, 1.0)) makes, without its per-call setup.
@@ -85,6 +93,7 @@ def _sampled_entries(g: Graph, rng: np.random.Generator) -> np.ndarray:
 
 def sample_pattern_matrix(g: Graph, seed) -> PatternMatrix:
     """Random symmetric matrix fitting g, as drawn by ``_sampled_entries``."""
+    import numpy as np
     return PatternMatrix(g, _sampled_entries(g, np.random.default_rng(seed)))
 
 
@@ -95,6 +104,7 @@ def shifted_singular_matrix(g: Graph, seed) -> PatternMatrix:
     g while having nullity >= 1; the chosen eigenvalue index is part of the
     seed stream.  Only the shifted matrix is validated.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     base = _sampled_entries(g, rng)
     eigenvalues = np.linalg.eigvalsh(base)
@@ -106,6 +116,7 @@ def weighted_laplacian(g: Graph, seed,
                        weight_range: tuple[float, float] = (0.5, 2.0)) -> PatternMatrix:
     """Laplacian D - W with random positive edge weights: positive
     semidefinite by construction, pattern g, nullity = component count."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     lo, hi = weight_range
     rows, cols = _edge_positions(g)
@@ -119,6 +130,7 @@ def _kernel_directions(matrix: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Right singular vectors (rows), and which of them span the numerical
     kernel: singular value below KERNEL_TOL times the largest one.  The
     zero matrix's kernel is the standard basis."""
+    import numpy as np
     _, sigma, vt = np.linalg.svd(matrix.entries)
     if sigma[0] <= 0.0:
         return np.eye(matrix.graph.n), np.ones(matrix.graph.n, dtype=bool)
@@ -132,11 +144,13 @@ def kernel_basis(matrix: PatternMatrix) -> list[np.ndarray]:
 
 
 def numerical_rank(matrix: PatternMatrix) -> int:
+    import numpy as np
     return int(np.count_nonzero(~_kernel_directions(matrix)[1]))
 
 
 def support_zero_set(x: np.ndarray) -> int:
     """Bitmask of coordinates that vanish relative to the largest one."""
+    import numpy as np
     peak = np.max(np.abs(x))
     if peak == 0.0:
         raise ValueError("zero vector has no support")
@@ -146,6 +160,7 @@ def support_zero_set(x: np.ndarray) -> int:
 def _sparsify(basis: list[np.ndarray]) -> list[np.ndarray]:
     """Row-reduce the basis to kernel vectors of small support (for
     block-diagonal matrices this recovers per-component vectors)."""
+    import numpy as np
     rows = np.array(basis, dtype=float)
     m, n = rows.shape
     r = 0
@@ -174,6 +189,7 @@ def support_implies_failed(g: Graph, matrix: PatternMatrix, rule: Rule,
     ``trials`` random unit combinations.  Matrices checked under the PSD
     rule must carry the psd flag.
     """
+    import numpy as np
     if matrix.graph != g:
         raise PatternMismatchError("matrix was built for a different graph")
     if rule is Rule.PSD and not matrix.psd:

@@ -6,6 +6,13 @@ fort is a nonempty vertex set W whose complement is stalled, so the failed
 number is n - |minimum fort|, found by a depth-first search that prunes
 with necessary conditions of the fort definition.  The descending scan of
 failed sets survives as ``brute_failed_number``, the independent oracle.
+
+Both searches skip relabelings of twins.  Two vertices u < v are twins when
+N(u) - v == N(v) - u; swapping them is an automorphism, so the forcing sets
+and the forts are closed under the swap.  The lexicographically least
+minimum forcing set (or fort) therefore contains u whenever it contains v:
+otherwise the swap would give a smaller set of the same size.  So a search
+adds v only to sets that hold v's previous twin, and finds the same witness.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ import os
 from dataclasses import dataclass
 
 from .forcing import Rule, can_force_into, derived_set
-from .graphs import Graph, VertexSet, bits, components_within
+from .graphs import Graph, VertexSet, bits, components_within, \
+    find_modules_order2
 
 DEFAULT_BUDGET = 20_000_000
 BRUTE_FORCE_MAX_N = 20
@@ -53,6 +61,19 @@ class _Budget:
                 "(raise --budget or FORCEKIT_BUDGET, or shrink the instance)")
 
 
+def _vertices(k: int) -> str:
+    return "1 vertex" if k == 1 else f"{k} vertices"
+
+
+def _previous_twins(g: Graph) -> list[VertexSet]:
+    """For each vertex v, the bit of its largest twin below v, or 0 when v
+    has none.  A search may add v only to a set that holds this bit."""
+    prev = [0] * g.n
+    for u, v, _ in find_modules_order2(g):  # u ascending: the last u wins
+        prev[v] = 1 << u
+    return prev
+
+
 @dataclass(frozen=True)
 class ExtremalResult:
     """An extremal value with its witness set.
@@ -79,15 +100,18 @@ def zero_forcing_number(g: Graph, rule: Rule,
     preorder.  A partial set is only extended by vertices above its last one
     and outside its closure (a member of a minimum forcing set is never in
     the closure of the others), and only while its children stay smaller
-    than the least forcing set found so far.  Preorder meets the sets of one
-    size in lexicographic order, so the first one of minimum size found is
-    the least.  A child's closure is cl(cl(S) + v), which is cl(S + v).
+    than the least forcing set found so far, and only by vertices whose
+    previous twin it holds (see the module docstring).  Preorder meets the
+    sets of one size in lexicographic order, so the first one of minimum
+    size found is the least.  A child's closure is cl(cl(S) + v), which is
+    cl(S + v).
     """
     tracker = _Budget(resolve_budget(budget), "zero_forcing_number",
                       "; no forcing set found yet")
     n = g.n
     full = g.full_mask
     best, witness = n + 1, full  # the incumbent
+    prev = _previous_twins(g)
 
     def extend(prefix: VertexSet, start: VertexSet, last: int, size: int):
         nonlocal best, witness
@@ -95,12 +119,12 @@ def zero_forcing_number(g: Graph, rule: Rule,
         cl = derived_set(g, start, rule)
         if cl == full:  # every node is created below the incumbent's size
             best, witness = size, prefix
-            tracker.progress = f"; smallest forcing set so far: {size} vertices"
+            tracker.progress = f"; smallest forcing set so far: {_vertices(size)}"
             return
         for v in range(last + 1, n):
             if size + 1 >= best:
                 return
-            if not cl & (1 << v):
+            if not cl & (1 << v) and not prev[v] & ~prefix:
                 extend(prefix | (1 << v), cl | (1 << v), v, size + 1)
 
     extend(0, 0, -1, 0)
@@ -183,15 +207,18 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
     return.  Vertices below the last choice that were skipped lie outside W;
     an inner node is pruned only when ``_must_include`` shows that no fort
     extends it, and the next choice never skips a vertex W must contain.
-    Leaves are tested with ``can_force_into``.  Every node spends one unit
-    of budget.  A fort always exists: the full vertex set is one (its
-    complement is the stalled empty coloring).
+    A vertex is chosen only after its previous twin (see the module
+    docstring).  Leaves are tested with ``can_force_into``.  Every node,
+    and every leaf tested, spends one unit of budget.  A fort always
+    exists: the full vertex set is one (its complement is the stalled empty
+    coloring).
     """
     tracker = _Budget(resolve_budget(budget), "min_fort")
     n = g.n
     adj = g.adj
     full = g.full_mask
     psd = rule is Rule.PSD
+    prev = _previous_twins(g)
 
     def grow(chosen: VertexSet, must: VertexSet, nxt: int, left: int,
              reach: VertexSet) -> VertexSet | None:
@@ -216,14 +243,20 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
         if left == 1:
             # The leaves, one node each, charged after the loop: a search
             # still raises exactly when it visits more nodes than allowed.
+            tested = 0
             for v in range(nxt, last + 1):
+                if prev[v] & ~chosen:
+                    continue
+                tested += 1
                 w = chosen | 1 << v
                 if not can_force_into(g, w, rule):
-                    tracker.spend(v + 1 - nxt)
+                    tracker.spend(tested)
                     return w
-            tracker.spend(last + 1 - nxt)
+            tracker.spend(tested)
             return None
         for v in range(nxt, last + 1):
+            if prev[v] & ~chosen:
+                continue
             bit = 1 << v
             found = grow(chosen | bit, must & ~bit, v + 1, left - 1,
                          reach | adj[v])
@@ -232,7 +265,7 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
         return None
 
     for k in range(1, n + 1):
-        tracker.progress = f"; searching forts of {k} vertices, none is smaller"
+        tracker.progress = f"; searching forts of {_vertices(k)}, none is smaller"
         w = grow(0, 0, 0, k, 0)
         if w is not None:
             return w

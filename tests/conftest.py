@@ -46,6 +46,27 @@ def graphs(draw, min_n: int = 1, max_n: int = 7):
 
 
 @st.composite
+def twin_graphs(draw, max_n: int = 9):
+    """A random graph with planted twins: vertices of a random graph are
+    cloned one at a time, each as a true twin (adjacent to its original)
+    or a false twin, and the result is relabeled at random so that twins
+    land anywhere in the vertex order.  Random graphs alone seldom have
+    twins."""
+    base = draw(graphs(1, 6))
+    nbrs = [set(bits(a)) for a in base.adj]
+    for _ in range(draw(st.integers(1, max_n - base.n))):
+        src = draw(st.integers(0, len(nbrs) - 1))
+        clone = set(nbrs[src]) | ({src} if draw(st.booleans()) else set())
+        for u in clone:
+            nbrs[u].add(len(nbrs))
+        nbrs.append(clone)
+    perm = draw(st.permutations(range(len(nbrs))))
+    edges = {tuple(sorted((perm[u], perm[v])))
+             for u, vs in enumerate(nbrs) for v in vs}
+    return graph_from_edges(len(nbrs), sorted(edges))
+
+
+@st.composite
 def graph_with_subset(draw, min_n: int = 1, max_n: int = 7):
     g = draw(graphs(min_n, max_n))
     sub = draw(st.integers(0, g.full_mask))

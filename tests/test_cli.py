@@ -178,6 +178,15 @@ class TestAnalyze:
                        "(raise --budget or FORCEKIT_BUDGET, or shrink the "
                        "instance)\n")
 
+    def test_budget_error_names_one_vertex_in_singular(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--family", "path:3",
+                                 "--params", "F", "--budget", "0")
+        assert code == 3 and out == ""
+        assert err == ("error: min_fort: candidate budget exhausted; "
+                       "searching forts of 1 vertex, none is smaller "
+                       "(raise --budget or FORCEKIT_BUDGET, or shrink the "
+                       "instance)\n")
+
     def test_timings_flag_adds_fields(self, capsys):
         _, out, _ = run_cli(capsys, "analyze", "--family", "path:4",
                             "--timings", "--json")

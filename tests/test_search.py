@@ -27,9 +27,11 @@ from conftest import (
     graphs,
     reference_closure,
     seeded_random_graph,
+    twin_graphs,
 )
 
 BOTH = (Rule.STANDARD, Rule.PSD)
+TWIN_FAMILIES = ("biclique:4,4", "complete:8", "marytree:3,9")
 
 
 def fam(text):
@@ -60,6 +62,17 @@ def literal_is_fort(g, w, rule):
         nbrs = set(bits(g.adj[u]))
         if any(len(nbrs & block) == 1 for block in blocks):
             return False
+    return True
+
+
+def twin_prefix_closed(g, s):
+    """True when s holds every earlier twin u < v of each of its vertices v,
+    with twins by the literal definition N(u) - v == N(v) - u."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if (s >> v & 1 and not s >> u & 1
+                    and set(bits(g.adj[u])) - {v} == set(bits(g.adj[v])) - {u}):
+                return False
     return True
 
 
@@ -159,6 +172,10 @@ class TestZeroForcingNumber:
         ("hypercube:4", Rule.PSD, 25_113),
         ("biclique:7,7", Rule.STANDARD, 16_203),
         ("biclique:7,7", Rule.PSD, 6_477),
+        ("biclique:8,7", Rule.STANDARD, 64),
+        ("biclique:8,7", Rule.PSD, 36),
+        ("marytree:4,16", Rule.STANDARD, 1_577),
+        ("complete:12", Rule.STANDARD, 12),
     ])
     def test_node_counts_do_not_grow(self, text, rule, nodes):
         # One node is one unit of budget and does not depend on the machine,
@@ -224,6 +241,8 @@ class TestMinFort:
         ("wheel:9", Rule.PSD, 117),
         ("hypercube:4", Rule.STANDARD, 431),
         ("hypercube:4", Rule.PSD, 796),
+        ("biclique:8,7", Rule.PSD, 24),
+        ("marytree:4,16", Rule.PSD, 1_371),
     ])
     def test_node_counts_do_not_grow(self, text, rule, nodes):
         # The budget counts search nodes, which do not depend on the
@@ -243,6 +262,35 @@ class TestMinFort:
             for mask in range(1, 1 << g.n):
                 if mask.bit_count() < k:
                     assert not is_fort(g, mask, rule)
+
+
+class TestTwins:
+    """Both searches add a vertex only after its previous twin; the
+    witnesses must stay those of the ascending scans."""
+
+    @staticmethod
+    def check_oracles(g, rule):
+        res = zero_forcing_number(g, rule)
+        assert (res.value, res.witness) == ascending_zero_forcing(g, rule)
+        assert min_fort(g, rule) == ascending_min_fort(g, rule)
+
+    @settings(max_examples=150, deadline=None)
+    @given(twin_graphs(), st.sampled_from(BOTH))
+    def test_match_ascending_oracles(self, g, rule):
+        self.check_oracles(g, rule)
+
+    @pytest.mark.parametrize("rule", BOTH)
+    @pytest.mark.parametrize("text", TWIN_FAMILIES)
+    def test_twin_rich_families_match_ascending_oracles(self, text, rule):
+        self.check_oracles(fam(text), rule)
+
+    @settings(max_examples=150, deadline=None)
+    @given(twin_graphs(), st.sampled_from(BOTH))
+    def test_witnesses_are_twin_prefix_closed(self, g, rule):
+        # F's witness is a failed set; its fort is the complement
+        fort = g.full_mask & ~failed_number(g, rule).witness
+        assert twin_prefix_closed(g, zero_forcing_number(g, rule).witness)
+        assert twin_prefix_closed(g, fort)
 
 
 class TestFailedNumber:

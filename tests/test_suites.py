@@ -153,14 +153,24 @@ class TestExhaustive:
 
     def test_import_does_not_load_multiprocessing(self):
         # only a run with jobs > 1 needs a process pool
-        src = str(Path(forcekit.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, forcekit, forcekit.cli, forcekit.suites; "
-                "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'multiprocessing'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout == "[]\n"
+        assert _loaded_on_import("multiprocessing") == "[]\n"
+
+    def test_import_does_not_load_numpy(self):
+        # only the numerical certificates need numpy
+        assert _loaded_on_import("numpy") == "[]\n"
+
+
+def _loaded_on_import(package: str) -> str:
+    """The modules of package that a fresh interpreter holds after
+    importing forcekit as the command line does, as printed there."""
+    src = str(Path(forcekit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, forcekit, forcekit.cli, forcekit.suites; "
+            "print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] == {package!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout
 
 
 class TestDisconnected:
