@@ -35,9 +35,9 @@ from .graphs import (
     parse_graph,
 )
 from .search import (
+    DEFAULT_BUDGET,
     SearchBudgetExceeded,
     failed_number,
-    resolve_budget,
     zero_forcing_number,
 )
 from .suites import (
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list from {Z,F} (default both)")
     an.add_argument("--json", action="store_true")
     an.add_argument("--budget", type=int, default=None,
-                    help="search node cap (default FORCEKIT_BUDGET or built-in)")
+                    help=f"search node cap (default {DEFAULT_BUDGET:,})")
     an.add_argument("--timings", action="store_true",
                     help="include wall-time fields (breaks byte determinism)")
 
@@ -255,10 +255,9 @@ def _table(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        resolve_budget(getattr(args, "budget", None))
-    except ValueError as exc:
-        print(f"error: bad --budget or FORCEKIT_BUDGET: {exc}", file=sys.stderr)
+    budget = getattr(args, "budget", None)
+    if budget is not None and budget < 0:
+        print(f"error: --budget must be >= 0, got {budget}", file=sys.stderr)
         return EXIT_BAD_INPUT
     commands = {"analyze": _analyze, "verify": _verify, "table": _table}
     try:

@@ -9,6 +9,7 @@ these masks; ``bits()`` / ``mask_of()`` convert to and from index lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 MAX_VERTICES = 63
@@ -48,7 +49,9 @@ class Graph:
     """Simple undirected graph as per-vertex neighbor bitmasks.
 
     Invariants enforced on construction: no loops, symmetric adjacency,
-    no bits at or above ``n``, and 1 <= n <= 63.
+    no bits at or above ``n``, and 1 <= n <= 63.  Facts derived from the
+    adjacency (``full_mask``, ``twin_pairs``) are computed on first use and
+    kept for the graph's lifetime; they take no part in ==, hash or repr.
     """
 
     n: int
@@ -70,9 +73,18 @@ class Graph:
                 if not self.adj[u] & (1 << v):
                     raise ValueError(f"asymmetric edge {v}-{u}")
 
-    @property
+    @cached_property
     def full_mask(self) -> VertexSet:
         return (1 << self.n) - 1
+
+    @cached_property
+    def twin_pairs(self) -> tuple[tuple[int, int, bool], ...]:
+        """All pairs {u, v} with identical neighborhoods outside the pair,
+        as (u, v, adjacent) triples with u < v in lexicographic order."""
+        adj = self.adj
+        return tuple((u, v, bool(adj[u] >> v & 1))
+                     for u in range(self.n) for v in range(u + 1, self.n)
+                     if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -311,25 +323,17 @@ def is_empty_graph(g: Graph) -> bool:
 
 
 def find_modules_order2(g: Graph) -> list[tuple[int, int, bool]]:
-    """All pairs {u, v} with identical neighborhoods outside the pair.
-
-    Returns (u, v, adjacent) triples with u < v.  Non-adjacent such pairs
-    are similar vertices; adjacent ones are modules joined by an edge.
-    """
-    out = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
-                out.append((u, v, bool(g.adj[u] & (1 << v))))
-    return out
+    """``g.twin_pairs`` as a list.  Non-adjacent such pairs are similar
+    vertices; adjacent ones are modules joined by an edge."""
+    return list(g.twin_pairs)
 
 
 def has_module_order2(g: Graph) -> bool:
-    return bool(find_modules_order2(g))
+    return bool(g.twin_pairs)
 
 
 def has_adjacent_module_order2(g: Graph) -> bool:
-    return any(adj for _, _, adj in find_modules_order2(g))
+    return any(adj for _, _, adj in g.twin_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,10 @@ adds v only to sets that hold v's previous twin, and finds the same witness.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .forcing import Rule, can_force_into, derived_set
-from .graphs import Graph, VertexSet, bits, components_within, \
-    find_modules_order2
+from .graphs import Graph, VertexSet, bits, components_within
 
 DEFAULT_BUDGET = 20_000_000
 BRUTE_FORCE_MAX_N = 20
@@ -32,23 +30,17 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when a search would examine more candidates than allowed."""
 
 
-def resolve_budget(budget: int | None) -> int:
-    """budget, else FORCEKIT_BUDGET, else DEFAULT_BUDGET.  ValueError when
-    the value is not an integer or is negative."""
-    if budget is None:
-        env = os.environ.get("FORCEKIT_BUDGET")
-        budget = int(env) if env else DEFAULT_BUDGET
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    return budget
-
-
 class _Budget:
     # progress: how far the search got, for the error message; a search
     # updates it whenever that changes
     __slots__ = ("left", "what", "progress")
 
-    def __init__(self, limit: int, what: str, progress: str = ""):
+    def __init__(self, limit: int | None, what: str, progress: str = ""):
+        """limit None means DEFAULT_BUDGET; a negative one is a ValueError."""
+        if limit is None:
+            limit = DEFAULT_BUDGET
+        elif limit < 0:
+            raise ValueError(f"budget must be >= 0, got {limit}")
         self.left = limit
         self.what = what
         self.progress = progress
@@ -58,7 +50,7 @@ class _Budget:
         if self.left < 0:
             raise SearchBudgetExceeded(
                 f"{self.what}: candidate budget exhausted{self.progress} "
-                "(raise --budget or FORCEKIT_BUDGET, or shrink the instance)")
+                "(raise --budget, or shrink the instance)")
 
 
 def _vertices(k: int) -> str:
@@ -69,7 +61,7 @@ def _previous_twins(g: Graph) -> list[VertexSet]:
     """For each vertex v, the bit of its largest twin below v, or 0 when v
     has none.  A search may add v only to a set that holds this bit."""
     prev = [0] * g.n
-    for u, v, _ in find_modules_order2(g):  # u ascending: the last u wins
+    for u, v, _ in g.twin_pairs:  # u ascending: the last u wins
         prev[v] = 1 << u
     return prev
 
@@ -106,7 +98,7 @@ def zero_forcing_number(g: Graph, rule: Rule,
     size found is the least.  A child's closure is cl(cl(S) + v), which is
     cl(S + v).
     """
-    tracker = _Budget(resolve_budget(budget), "zero_forcing_number",
+    tracker = _Budget(budget, "zero_forcing_number",
                       "; no forcing set found yet")
     n = g.n
     full = g.full_mask
@@ -213,7 +205,7 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
     exists: the full vertex set is one (its complement is the stalled empty
     coloring).
     """
-    tracker = _Budget(resolve_budget(budget), "min_fort")
+    tracker = _Budget(budget, "min_fort")
     n = g.n
     adj = g.adj
     full = g.full_mask
@@ -287,11 +279,11 @@ def failed_number(g: Graph, rule: Rule, budget: int | None = None) -> ExtremalRe
 def brute_failed_number(g: Graph, rule: Rule,
                         budget: int | None = None) -> ExtremalResult:
     """Independent oracle: scan all 2^n subsets for the largest failed one."""
+    tracker = _Budget(budget, "brute_failed_number")
     if g.n > BRUTE_FORCE_MAX_N:
         raise SearchBudgetExceeded(
             f"brute_failed_number: n={g.n} exceeds the 2^n scan guard "
             f"(n <= {BRUTE_FORCE_MAX_N})")
-    tracker = _Budget(resolve_budget(budget), "brute_failed_number")
     full = g.full_mask
     best_size = -1
     best: VertexSet = 0

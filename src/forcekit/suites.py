@@ -222,16 +222,11 @@ def run_characterizations(max_n: int | None = None,
 # Exhaustive scan over all labeled graphs up to a given order
 # ---------------------------------------------------------------------------
 
-def _graph_from_edge_mask(n: int, mask: int) -> Graph:
-    adj = [0] * n
-    bit = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mask & bit:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            bit <<= 1
-    return Graph(n, tuple(adj))
+def graph_from_edge_mask(n: int, mask: int) -> Graph:
+    """The graph on n vertices whose edges are the set bits of mask, bit k
+    standing for the k-th pair (i, j), i < j, in lexicographic order."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return graph_from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
 
 
 def _exhaustive_chunk(args: tuple[int, int, int]) -> dict:
@@ -239,7 +234,7 @@ def _exhaustive_chunk(args: tuple[int, int, int]) -> dict:
     counts: dict[str, list[int]] = {}
     violations = []
     for mask in range(lo, hi):
-        g = _graph_from_edge_mask(n, mask)
+        g = graph_from_edge_mask(n, mask)
         _, reports = _characterize(g, f"n={n} edges={mask:#x}")
         for rep in reports:
             slot = counts.setdefault(rep.theorem, [0, 0])

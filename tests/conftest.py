@@ -21,21 +21,14 @@ from forcekit.search import (
     _Budget,
     brute_failed_number,
     failed_number,
-    resolve_budget,
 )
-from forcekit.suites import _finish, _new_result, _record, default_family_specs
-
-
-def graph_from_edge_mask(n: int, mask: int) -> Graph:
-    """Decode an edge subset of K_n (pairs in lexicographic order)."""
-    edges = []
-    bit = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mask & bit:
-                edges.append((i, j))
-            bit <<= 1
-    return graph_from_edges(n, edges)
+from forcekit.suites import (
+    _finish,
+    _new_result,
+    _record,
+    default_family_specs,
+    graph_from_edge_mask,
+)
 
 
 @st.composite
@@ -219,7 +212,7 @@ def enumerate_maximal_failed(g: Graph, rule: Rule,
         raise SearchBudgetExceeded(
             f"enumerate_maximal_failed: n={g.n} exceeds the scan guard "
             f"(n <= {BRUTE_FORCE_MAX_N})")
-    tracker = _Budget(resolve_budget(budget), "enumerate_maximal_failed")
+    tracker = _Budget(budget, "enumerate_maximal_failed")
     minimal_forts: list[VertexSet] = []
     for w in _ascending_subsets(g.n, tracker):
         if any(f & w == f for f in minimal_forts):

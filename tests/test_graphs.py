@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 from pathlib import Path
 
@@ -75,6 +76,17 @@ class TestGraphInvariants:
     def test_edges_sorted(self):
         g = fam("cycle:4")
         assert g.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+    def test_cached_facts_leave_identity_alone(self):
+        fresh, used = fam("biclique:2,3"), fam("biclique:2,3")
+        assert used.full_mask == 0b11111
+        assert used.twin_pairs == ((0, 1, False), (2, 3, False),
+                                   (2, 4, False), (3, 4, False))
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == fresh and hash(back) == hash(fresh)
+        assert back.twin_pairs == used.twin_pairs
 
 
 class TestFamilies:

@@ -182,15 +182,18 @@ class TestZeroForcingNumber:
         # so a search that walks a subset twice or prunes less fails here.
         zero_forcing_number(fam(text), rule, budget=nodes)
 
-    def test_env_budget_override(self, monkeypatch):
-        from forcekit.search import DEFAULT_BUDGET, resolve_budget
+    def test_environment_sets_no_budget(self, monkeypatch):
+        # The budget is the search's argument alone; the environment sets
+        # none.
         monkeypatch.setenv("FORCEKIT_BUDGET", "5")
-        assert resolve_budget(None) == 5
-        assert resolve_budget(123) == 123
-        with pytest.raises(SearchBudgetExceeded):
-            zero_forcing_number(fam("wheel:9"), Rule.STANDARD)
-        monkeypatch.delenv("FORCEKIT_BUDGET")
-        assert resolve_budget(None) == DEFAULT_BUDGET
+        assert zero_forcing_number(fam("wheel:9"), Rule.STANDARD).value == 3
+
+
+@pytest.mark.parametrize("search", [
+    zero_forcing_number, min_fort, failed_number, brute_failed_number])
+def test_negative_budget_is_a_value_error(search):
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        search(fam("path:3"), Rule.STANDARD, -1)
 
 
 class TestMinFort:

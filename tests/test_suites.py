@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import forcekit
 import forcekit.suites as suites
 from forcekit.forcing import Rule
-from forcekit.graphs import disjoint_union
+from forcekit.graphs import Graph, build_family, disjoint_union, parse_family
 from forcekit.suites import (
     SUITE_NAMES,
     default_family_specs,
@@ -75,6 +76,25 @@ class TestCharacterizations:
         assert res["by_theorem"]["Thm 4.19"]["failed"] == 0
 
 
+    def test_twin_pairs_are_scanned_once_per_graph(self, monkeypatch):
+        # The four searches and the module theorems all read the same
+        # twin pairs; the O(n^2) scan for them runs once per graph.
+        scan = Graph.twin_pairs.func
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return scan(g)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Graph, "twin_pairs")
+        monkeypatch.setattr(Graph, "twin_pairs", prop)
+        g = build_family(parse_family("biclique:2,3"))
+        _, reports = suites._characterize(g, "biclique:2,3")
+        assert {"Thm 3.5", "Thm 4.12"} <= {r.theorem for r in reports}
+        assert calls == [g]
+
+
 class TestKnownDiscrepancies:
     def test_whole_default_range(self):
         # Table 5.1's Z = Z+ = s for half-graphs with s >= 3, and Thm 5.2's
@@ -113,6 +133,14 @@ class TestExhaustive:
         [check] = res["checks"]
         assert (check["theorem"], check["expected"], check["observed"]) == (
             "Extra", "0 violations in 11", "8 violations")
+
+    def test_edge_mask_bits_follow_lexicographic_pairs(self):
+        # violation labels name graphs by this mask, so its order is fixed
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        for k, pair in enumerate(pairs):
+            assert suites.graph_from_edge_mask(4, 1 << k).edges() == [pair]
+        g = suites.graph_from_edge_mask(4, 0b101001)
+        assert g.edges() == [(0, 1), (1, 2), (2, 3)]
 
     def test_jobs_do_not_change_output(self):
         serial = run_exhaustive(max_n=4, jobs=1)
