@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--max-n", type=int, default=None)
     ve.add_argument("--seed", type=int, default=0)
     ve.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for exhaustive6 (default 1)")
+                    help="accepted and echoed by every suite, used by none "
+                         "(default 1)")
     ve.add_argument("--json", action="store_true")
     ve.add_argument("--budget", type=int, default=None)
 

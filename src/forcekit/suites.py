@@ -3,8 +3,8 @@ exhaustive small-graph scans, disconnected composition, and numerical
 kernel-support trials.
 
 Every suite returns a JSON-ready dict whose content depends only on its
-arguments (seed, ranges, jobs), never on wall time or scheduling, so two
-runs with the same inputs serialize byte-identically.
+arguments (seed, ranges, jobs), never on wall time, so two runs with the
+same inputs serialize byte-identically.
 
 A failed check counts as a known discrepancy, not a failure, only where
 its row of Table 5.1 (``formulas.TABLE51``) marks the claim as one.
@@ -12,7 +12,6 @@ its row of Table 5.1 (``formulas.TABLE51``) marks the claim as one.
 
 from __future__ import annotations
 
-import os
 import random
 
 from .forcing import Rule
@@ -57,17 +56,9 @@ from .theorems import (
 # The families that Table 5.1 tabulates Z, Z+, mr and mr+ for.
 _TABLE51_KINDS = tuple(dict.fromkeys(row.kind for row in TABLE51))
 
-# exhaustive6 scans 2^(n(n-1)/2) labeled graphs per order n: about 2.1M at
-# n = 7, 2^28 at n = 8.
+# exhaustive6 marks each of the 2^(n(n-1)/2) labeled graphs of order n in
+# a bytearray: about 2.1 MB at n = 7, 268 MB at n = 8.
 _EXHAUSTIVE_MAX_N = 7
-
-
-def ProcessPoolExecutor(max_workers: int):
-    """concurrent.futures.ProcessPoolExecutor, imported on first use: only
-    a run with jobs > 1 starts a pool, and importing multiprocessing costs
-    every process about 1.4 MB of memory."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
 
 
 class SuiteUsageError(ValueError):
@@ -229,52 +220,74 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return graph_from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
 
 
-def _exhaustive_chunk(args: tuple[int, int, int]) -> dict:
-    n, lo, hi = args
-    counts: dict[str, list[int]] = {}
-    violations = []
-    for mask in range(lo, hi):
-        g = graph_from_edge_mask(n, mask)
-        _, reports = _characterize(g, f"n={n} edges={mask:#x}")
-        for rep in reports:
-            slot = counts.setdefault(rep.theorem, [0, 0])
-            slot[0] += 1
-            if not rep.passed:
-                slot[1] += 1
-                if len(violations) < 25:
-                    violations.append(rep.as_dict())
-    return {"checked": hi - lo, "counts": counts, "violations": violations}
+def _edge_mask_classes(n: int) -> list[tuple[int, int]]:
+    """(representative, orbit size) for each isomorphism class of graphs of
+    order n, in increasing order of representative.  A class is an orbit of
+    edge masks under relabeling, and its representative is its least mask:
+    masks are visited in increasing order, and each one not yet marked
+    starts a depth-first walk that marks its whole orbit through the
+    adjacent transpositions (i, i+1), which generate every relabeling."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    position = {pair: k for k, pair in enumerate(pairs)}
+    # Relabeling i <-> i+1 swaps the bit of edge {i, k} with the higher bit
+    # of edge {i+1, k} for each k outside the pair; each transposition is
+    # a list of delta swaps (distance, mask of the lower bits).
+    transpositions = []
+    for i in range(n - 1):
+        swaps: dict[int, int] = {}
+        for k in range(n):
+            if k not in (i, i + 1):
+                lo = position[min(i, k), max(i, k)]
+                hi = position[min(i + 1, k), max(i + 1, k)]
+                swaps[hi - lo] = swaps.get(hi - lo, 0) | 1 << lo
+        transpositions.append(tuple(swaps.items()))
+    marked = bytearray(1 << len(pairs))
+    classes = []
+    for rep in range(len(marked)):
+        if marked[rep]:
+            continue
+        marked[rep] = 1
+        stack, size = [rep], 0
+        while stack:
+            mask = stack.pop()
+            size += 1
+            for swaps in transpositions:
+                image = mask
+                for shift, low in swaps:
+                    t = (image >> shift ^ image) & low
+                    image ^= t | t << shift
+                if not marked[image]:
+                    marked[image] = 1
+                    stack.append(image)
+        classes.append((rep, size))
+    return classes
 
 
 def run_exhaustive(max_n: int = 6, jobs: int = 1) -> dict:
     """Verify every characterization biconditional on all labeled graphs
-    with at most max_n vertices (2^(n(n-1)/2) edge subsets per order)."""
+    with at most max_n vertices (2^(n(n-1)/2) edge subsets per order).
+
+    Every check is invariant under relabeling, so each isomorphism class is
+    checked once, on its least edge mask, and counts once per labeled graph
+    in it.  jobs is recorded in the params and otherwise unused."""
     if not 1 <= max_n <= _EXHAUSTIVE_MAX_N:
         raise SuiteUsageError(f"exhaustive6 takes --max-n from 1 to "
                               f"{_EXHAUSTIVE_MAX_N}, got {max_n}")
     result = _new_result("exhaustive6", max_n=max_n, jobs=jobs)
     totals: dict[str, list[int]] = {}
     graphs_checked = 0
-    tasks = []
-    for n in range(1, max_n + 1):
-        total = 1 << (n * (n - 1) // 2)
-        chunk = max(512, total // (max(jobs, 1) * 8))
-        tasks.extend((n, lo, min(lo + chunk, total))
-                     for lo in range(0, total, chunk))
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_exhaustive_chunk, tasks))
-    else:
-        outputs = [_exhaustive_chunk(t) for t in tasks]
     violations = []
-    for out in outputs:
-        graphs_checked += out["checked"]
-        for theorem, (checked, violated) in out["counts"].items():
-            total = totals.setdefault(theorem, [0, 0])
-            total[0] += checked
-            total[1] += violated
-        violations.extend(out["violations"])
+    for n in range(1, max_n + 1):
+        for mask, orbit in _edge_mask_classes(n):
+            g = graph_from_edge_mask(n, mask)
+            _, reports = _characterize(g, f"n={n} edges={mask:#x}")
+            graphs_checked += orbit
+            for rep in reports:
+                total = totals.setdefault(rep.theorem, [0, 0])
+                total[0] += orbit
+                if not rep.passed:
+                    total[1] += orbit
+                    violations.append(rep.as_dict())
     violations.sort(key=lambda v: (v["graph"], v["theorem"]))
     for theorem, (checked, violated) in totals.items():
         _record(result, {

@@ -23,6 +23,7 @@ from forcekit.search import (
     failed_number,
 )
 from forcekit.suites import (
+    _characterize,
     _finish,
     _new_result,
     _record,
@@ -161,6 +162,25 @@ def run_oracle_equivalence(seed: int = 0, trials: int = 500,
                 "pass": fast == brute,
             })
     return _finish(result)
+
+
+def labeled_exhaustive(max_n: int) -> dict:
+    """The labeled scan that exhaustive6 reduces to isomorphism classes:
+    every check of _characterize on every edge mask of each order up to
+    max_n.  Returns the graphs checked and, per theorem, the reports
+    checked and violated."""
+    counts: dict[str, list[int]] = {}
+    checked = 0
+    for n in range(1, max_n + 1):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            _, reports = _characterize(graph_from_edge_mask(n, mask),
+                                       f"n={n} edges={mask:#x}")
+            checked += 1
+            for rep in reports:
+                slot = counts.setdefault(rep.theorem, [0, 0])
+                slot[0] += 1
+                slot[1] += not rep.passed
+    return {"graphs_checked": checked, "counts": counts}
 
 
 def maximal_failed_contains_compositions(g: Graph, rule: Rule) -> bool:

@@ -8,6 +8,7 @@ module so the two encodings check each other.
 import json
 import time
 
+import forcekit.suites as suites
 from forcekit.cli import main
 from forcekit.forcing import Rule
 from forcekit.formulas import table51_value
@@ -20,7 +21,7 @@ from forcekit.suites import (
     run_linalg,
 )
 
-from conftest import run_oracle_equivalence
+from conftest import labeled_exhaustive, run_oracle_equivalence
 
 SEED = 20260811
 TABLE_KINDS = ("path", "cycle", "complete", "hypercube", "wheel",
@@ -139,9 +140,18 @@ def test_criterion_3_oracle_equivalence():
     assert res["passed"] == 2 * (500 + family_count)
 
 
-def test_criterion_4_exhaustive_order_6():
+def test_criterion_4_exhaustive_order_6(monkeypatch):
+    # every per-theorem check the suite records, passing ones included
+    recorded = []
+    record = suites._record
+
+    def keep(result, check, known_discrepancy=False):
+        recorded.append(check)
+        record(result, check, known_discrepancy)
+
+    monkeypatch.setattr(suites, "_record", keep)
     start = time.perf_counter()
-    res = run_exhaustive(max_n=6, jobs=8)
+    res = run_exhaustive(max_n=6)
     elapsed = time.perf_counter() - start
     failures = []
     for theorem, tally in sorted(res["by_theorem"].items()):
@@ -153,6 +163,14 @@ def test_criterion_4_exhaustive_order_6():
     assert res["graphs_checked"] == 1 + 2 + 8 + 64 + 1024 + 32768
     assert not failures
     assert elapsed < 600.0
+    # the scan of one graph per isomorphism class against the labeled scan
+    # of every graph: the same graph count and, per theorem, the same
+    # checked and violated counts
+    oracle = labeled_exhaustive(6)
+    assert res["graphs_checked"] == oracle["graphs_checked"]
+    counts = {c["theorem"]: [int(c["expected"].split()[-1]),
+                             int(c["observed"].split()[0])] for c in recorded}
+    assert counts == oracle["counts"]
 
 
 def test_criterion_5_disconnected_composition():

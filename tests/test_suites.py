@@ -3,7 +3,10 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from functools import cached_property
+from itertools import permutations
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,13 @@ import pytest
 import forcekit
 import forcekit.suites as suites
 from forcekit.forcing import Rule
-from forcekit.graphs import Graph, build_family, disjoint_union, parse_family
+from forcekit.graphs import (
+    Graph,
+    build_family,
+    disjoint_union,
+    graph_from_edges,
+    parse_family,
+)
 from forcekit.suites import (
     SUITE_NAMES,
     default_family_specs,
@@ -27,7 +36,11 @@ from forcekit.suites import (
 )
 from forcekit.theorems import TheoremReport
 
-from conftest import maximal_failed_contains_compositions, run_oracle_equivalence
+from conftest import (
+    maximal_failed_contains_compositions,
+    random_graph,
+    run_oracle_equivalence,
+)
 
 
 class TestDefaultSpecs:
@@ -119,13 +132,7 @@ class TestExhaustive:
 
     def test_tallies_every_theorem_it_meets(self, monkeypatch):
         # a check added to _characterize needs no second list of names
-        check_F_vs_Z = suites.check_F_vs_Z
-
-        def with_extra(g, name, *values):
-            return check_F_vs_Z(g, name, *values) + [
-                TheoremReport.compare("Extra", name, True, g.n < 3)]
-
-        monkeypatch.setattr(suites, "check_F_vs_Z", with_extra)
+        _add_extra_check(monkeypatch, fails_from=3)
         res = run_exhaustive(max_n=3, jobs=1)
         assert res["graphs_checked"] == 11  # 1 + 2 + 8
         assert res["by_theorem"]["Extra"] == {"passed": 0, "failed": 1}
@@ -133,6 +140,24 @@ class TestExhaustive:
         [check] = res["checks"]
         assert (check["theorem"], check["expected"], check["observed"]) == (
             "Extra", "0 violations in 11", "8 violations")
+        # one sample per failing class, named by its least edge mask: the
+        # edgeless graph, an edge, a path and the triangle
+        assert [(v["graph"], v["theorem"]) for v in res["violation_samples"]] \
+            == [("n=3 edges=0x0", "Extra"), ("n=3 edges=0x1", "Extra"),
+                ("n=3 edges=0x3", "Extra"), ("n=3 edges=0x7", "Extra")]
+        parallel = run_exhaustive(max_n=3, jobs=2)
+        parallel["params"]["jobs"] = 1  # only the recorded setting differs
+        assert json.dumps(res, sort_keys=True) == json.dumps(parallel,
+                                                             sort_keys=True)
+
+    def test_violation_samples_are_the_first_25_by_name(self, monkeypatch):
+        _add_extra_check(monkeypatch, fails_from=5)
+        res = run_exhaustive(max_n=5, jobs=1)
+        names = sorted(f"n=5 edges={rep:#x}"
+                       for rep, _ in suites._edge_mask_classes(5))
+        assert len(names) == 34
+        assert [v["graph"] for v in res["violation_samples"]] == names[:25]
+        assert res["checks"][0]["observed"] == "1024 violations"
 
     def test_edge_mask_bits_follow_lexicographic_pairs(self):
         # violation labels name graphs by this mask, so its order is fixed
@@ -149,43 +174,25 @@ class TestExhaustive:
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel,
                                                                 sort_keys=True)
 
-    @pytest.mark.parametrize("jobs,cpus,workers", [
-        (64, 8, 3),     # three tasks at max_n = 3
-        (64, 2, 2),
-        (2, 8, 2),
-        (1, 8, None),
-        (4, 1, None),
-    ])
-    def test_pool_capped_by_tasks_and_cpus(self, monkeypatch, jobs, cpus,
-                                           workers):
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
-        res = run_exhaustive(max_n=3, jobs=jobs)
-        assert pools == ([workers] if workers else [])
-        assert res["ok"] and res["params"]["jobs"] == jobs
-
     def test_import_does_not_load_multiprocessing(self):
-        # only a run with jobs > 1 needs a process pool
+        # no suite starts a process pool
         assert _loaded_on_import("multiprocessing") == "[]\n"
 
     def test_import_does_not_load_numpy(self):
         # only the numerical certificates need numpy
         assert _loaded_on_import("numpy") == "[]\n"
+
+
+def _add_extra_check(monkeypatch, fails_from: int) -> None:
+    """Make _characterize report one more theorem, "Extra", that fails on
+    every graph with at least fails_from vertices."""
+    check_F_vs_Z = suites.check_F_vs_Z
+
+    def with_extra(g, name, *values):
+        return check_F_vs_Z(g, name, *values) + [
+            TheoremReport.compare("Extra", name, True, g.n < fails_from)]
+
+    monkeypatch.setattr(suites, "check_F_vs_Z", with_extra)
 
 
 def _loaded_on_import(package: str) -> str:
@@ -199,6 +206,73 @@ def _loaded_on_import(package: str) -> str:
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout
+
+
+class TestEdgeMaskClasses:
+    def test_class_counts(self):
+        # OEIS A000088: graphs on n unlabeled vertices
+        assert [len(suites._edge_mask_classes(n)) for n in range(1, 7)] == [
+            1, 2, 4, 11, 34, 156]
+
+    def test_class_counts_match_graph_atlas(self):
+        nx = pytest.importorskip("networkx")
+        atlas = Counter(g.number_of_nodes() for g in nx.graph_atlas_g())
+        for n in range(1, 7):
+            assert len(suites._edge_mask_classes(n)) == atlas[n]
+
+    def test_orbits_cover_every_labeled_graph(self):
+        for n in range(1, 7):
+            orbits = [size for _, size in suites._edge_mask_classes(n)]
+            assert sum(orbits) == 1 << (n * (n - 1) // 2)
+
+    def test_orbits_by_brute_force(self):
+        # every relabeling of each representative: it is the least mask
+        # of its orbit, and the orbit has n!/|Aut| masks
+        for n in range(1, 6):
+            classes = suites._edge_mask_classes(n)
+            assert [rep for rep, _ in classes] == sorted(
+                rep for rep, _ in classes)
+            for rep, size in classes:
+                images = [_relabeled(n, rep, perm)
+                          for perm in permutations(range(n))]
+                automorphisms = images.count(rep)
+                assert min(images) == rep
+                assert len(set(images)) == size
+                assert size == factorial(n) // automorphisms
+
+
+def _relabeled(n: int, mask: int, perm) -> int:
+    """The edge mask of the graph of mask with vertex v renamed perm[v]."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    position = {pair: k for k, pair in enumerate(pairs)}
+    image = 0
+    for k, (u, v) in enumerate(pairs):
+        if mask >> k & 1:
+            image |= 1 << position[tuple(sorted((perm[u], perm[v])))]
+    return image
+
+
+class TestRelabelingInvariance:
+    def test_characterize(self):
+        # the exhaustive suite checks one labeling per class, so the twin
+        # pruning and the lexicographic order of the searches must not
+        # change any value or verdict
+        rng = random.Random(20261018)
+        for _ in range(100):
+            n = rng.randint(7, 9)
+            g = random_graph(rng, n)
+            values, reports = suites._characterize(g, "g")
+            for _ in range(2):
+                perm = rng.sample(range(n), n)
+                h = graph_from_edges(n, sorted(
+                    tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()))
+                relabeled_values, relabeled_reports = suites._characterize(
+                    h, "g")
+                assert relabeled_values == values
+                assert [(r.theorem, r.expected, r.observed, r.passed)
+                        for r in relabeled_reports] == [
+                    (r.theorem, r.expected, r.observed, r.passed)
+                    for r in reports]
 
 
 class TestDisconnected:

@@ -1,7 +1,7 @@
 import pytest
 
 from forcekit.forcing import Rule
-from forcekit.graphs import build_family, is_connected, parse_family
+from forcekit.graphs import build_family, parse_family
 from forcekit.search import failed_number, zero_forcing_number
 from forcekit.suites import default_family_specs
 from forcekit.theorems import (
@@ -13,7 +13,7 @@ from forcekit.theorems import (
     check_module_characterizations,
 )
 
-from conftest import graph_from_edge_mask
+from conftest import labeled_exhaustive
 
 TABLE_KINDS = ("path", "cycle", "complete", "hypercube", "wheel",
                "biclique", "halfgraph")
@@ -208,22 +208,11 @@ class TestModuleLowerBound:
 
 
 class TestSmallExhaustive:
-    """Downscaled run of the exhaustive verification (orders 1..4); the
+    """Downscaled run of the labeled exhaustive scan (orders 1..4); the
     full order-6 scan lives in the acceptance suite."""
 
     def test_all_graphs_up_to_4(self):
-        for n in range(1, 5):
-            for mask in range(1 << (n * (n - 1) // 2)):
-                g = graph_from_edge_mask(n, mask)
-                name = f"n={n} mask={mask}"
-                f = failed_number(g, Rule.STANDARD).value
-                z = zero_forcing_number(g, Rule.STANDARD).value
-                fp = failed_number(g, Rule.PSD).value
-                zp = zero_forcing_number(g, Rule.PSD).value
-                reports = check_isolated_characterizations(g, name, f, fp)
-                if is_connected(g):
-                    reports += check_module_characterizations(g, name, f, fp)
-                reports += check_low_Fplus(g, name, fp, zp)
-                reports += check_F_vs_Z(g, name, f, z, fp, zp)
-                for rep in reports:
-                    assert rep.passed, rep
+        res = labeled_exhaustive(4)
+        assert res["graphs_checked"] == 1 + 2 + 8 + 64
+        assert {theorem: violated for theorem, (_, violated)
+                in res["counts"].items() if violated} == {}
