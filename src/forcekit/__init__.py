@@ -15,8 +15,8 @@ from .formulas import Prediction, UnsupportedFamilyError, \
     predicted_Fplus, predicted_table51
 from .graphs import FamilyError, FamilySpec, Graph, GraphFormatError, \
     VertexSet, bits, build_family, connected_components, components_within, \
-    disjoint_union, find_modules_order2, graph_from_edges, is_tree, mask_of, \
-    parse_family, parse_graph
+    disjoint_union, graph_from_edges, is_tree, mask_of, parse_family, \
+    parse_graph
 from .linalg import PatternMatrix, kernel_basis, rank_lower_bound_check, \
     sample_pattern_matrix, shifted_singular_matrix, support_implies_failed, \
     weighted_laplacian
@@ -34,7 +34,7 @@ __all__ = [
     "predicted_table51",
     "FamilyError", "FamilySpec", "Graph", "GraphFormatError", "VertexSet",
     "bits", "build_family", "connected_components", "components_within",
-    "disjoint_union", "find_modules_order2", "graph_from_edges", "is_tree",
+    "disjoint_union", "graph_from_edges", "is_tree",
     "mask_of", "parse_family", "parse_graph",
     "PatternMatrix", "kernel_basis", "rank_lower_bound_check",
     "sample_pattern_matrix", "shifted_singular_matrix",

@@ -79,10 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve = sub.add_parser("verify", help="run a verification suite")
     ve.add_argument("--suite", choices=SUITE_NAMES, required=True)
     ve.add_argument("--max-n", type=int, default=None)
-    ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--jobs", type=int, default=1,
-                    help="accepted and echoed by every suite, used by none "
-                         "(default 1)")
+    ve.add_argument("--seed", type=int, default=None)
     ve.add_argument("--json", action="store_true")
     ve.add_argument("--budget", type=int, default=None)
 
@@ -131,7 +128,7 @@ def _analyze(args) -> int:
         if p not in ("Z", "F"):
             raise FamilyError(f"unknown parameter {p!r}, choose from Z,F")
     spec = None
-    if args.family:
+    if args.family is not None:
         spec = parse_family(args.family)
         g = build_family(spec)
         description = spec.label()
@@ -205,11 +202,9 @@ def _print_analyze_tsv(report: dict) -> None:
 
 
 def _verify(args) -> int:
-    result = run_suite(args.suite, seed=args.seed, jobs=args.jobs,
-                       max_n=args.max_n, budget=args.budget)
+    result = run_suite(args.suite, seed=args.seed, max_n=args.max_n,
+                       budget=args.budget)
     result["command"] = "verify"
-    result["seed"] = args.seed
-    result["jobs"] = args.jobs
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
@@ -259,6 +254,10 @@ def main(argv=None) -> int:
     budget = getattr(args, "budget", None)
     if budget is not None and budget < 0:
         print(f"error: --budget must be >= 0, got {budget}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if getattr(args, "timings", False) and not args.json:
+        print("error: --timings needs --json: the TSV output has no time "
+              "column", file=sys.stderr)
         return EXIT_BAD_INPUT
     commands = {"analyze": _analyze, "verify": _verify, "table": _table}
     try:

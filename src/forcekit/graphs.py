@@ -80,7 +80,8 @@ class Graph:
     @cached_property
     def twin_pairs(self) -> tuple[tuple[int, int, bool], ...]:
         """All pairs {u, v} with identical neighborhoods outside the pair,
-        as (u, v, adjacent) triples with u < v in lexicographic order."""
+        as (u, v, adjacent) triples with u < v in lexicographic order.
+        Non-adjacent pairs are similar vertices, adjacent ones modules."""
         adj = self.adj
         return tuple((u, v, bool(adj[u] >> v & 1))
                      for u in range(self.n) for v in range(u + 1, self.n)
@@ -320,12 +321,6 @@ def is_complete(g: Graph) -> bool:
 
 def is_empty_graph(g: Graph) -> bool:
     return g.edge_count() == 0
-
-
-def find_modules_order2(g: Graph) -> list[tuple[int, int, bool]]:
-    """``g.twin_pairs`` as a list.  Non-adjacent such pairs are similar
-    vertices; adjacent ones are modules joined by an edge."""
-    return list(g.twin_pairs)
 
 
 def has_module_order2(g: Graph) -> bool:

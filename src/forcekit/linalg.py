@@ -112,17 +112,14 @@ def shifted_singular_matrix(g: Graph, seed) -> PatternMatrix:
     return PatternMatrix(g, base - lam * np.eye(g.n))
 
 
-def weighted_laplacian(g: Graph, seed,
-                       weight_range: tuple[float, float] = (0.5, 2.0)) -> PatternMatrix:
-    """Laplacian D - W with random positive edge weights: positive
+def weighted_laplacian(g: Graph, seed) -> PatternMatrix:
+    """Laplacian D - W with edge weights uniform over [0.5, 2]: positive
     semidefinite by construction, pattern g, nullity = component count."""
     import numpy as np
     rng = np.random.default_rng(seed)
-    lo, hi = weight_range
     rows, cols = _edge_positions(g)
     w = np.zeros((g.n, g.n))
-    w[rows, cols] = w[cols, rows] = (lo if lo == hi
-                                     else rng.uniform(lo, hi, size=len(rows)))
+    w[rows, cols] = w[cols, rows] = rng.uniform(0.5, 2.0, size=len(rows))
     return PatternMatrix(g, np.diag(w.sum(1)) - w, psd=True)
 
 
@@ -179,10 +176,11 @@ def _sparsify(basis: list[np.ndarray]) -> list[np.ndarray]:
     return [rows[i] for i in range(r)]
 
 
-def support_implies_failed(g: Graph, matrix: PatternMatrix, rule: Rule,
+def support_implies_failed(matrix: PatternMatrix, rule: Rule,
                            trials: int = 20, seed=0) -> TheoremReport:
     """Certificate check: for kernel vectors x of the matrix, the zero set
-    { i : |x_i| <= tol * max|x| } must be failed under the rule.
+    { i : |x_i| <= tol * max|x| } must be failed in the matrix's graph
+    under the rule.
 
     Checking the full zero set suffices: subsets of failed sets are failed.
     Tested vectors are the kernel basis, its row-reduced sparsification, and
@@ -190,8 +188,7 @@ def support_implies_failed(g: Graph, matrix: PatternMatrix, rule: Rule,
     rule must carry the psd flag.
     """
     import numpy as np
-    if matrix.graph != g:
-        raise PatternMismatchError("matrix was built for a different graph")
+    g = matrix.graph
     if rule is Rule.PSD and not matrix.psd:
         raise PatternMismatchError("PSD-rule certificates need a PSD matrix")
     theorem = "Cor 2.10" if rule is Rule.STANDARD else "Prop 2.12"

@@ -3,8 +3,8 @@ exhaustive small-graph scans, disconnected composition, and numerical
 kernel-support trials.
 
 Every suite returns a JSON-ready dict whose content depends only on its
-arguments (seed, ranges, jobs), never on wall time, so two runs with the
-same inputs serialize byte-identically.
+arguments, never on wall time, so two runs with the same inputs serialize
+byte-identically.
 
 A failed check counts as a known discrepancy, not a failure, only where
 its row of Table 5.1 (``formulas.TABLE51``) marks the claim as one.
@@ -387,10 +387,10 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
             singular = shifted_singular_matrix(g, [seed, idx, t, 1])
             laplacian = weighted_laplacian(g, [seed, idx, t, 2])
             reports.append(support_implies_failed(
-                g, singular if t % 2 else sampled, Rule.STANDARD,
+                singular if t % 2 else sampled, Rule.STANDARD,
                 trials=3, seed=[seed, idx, t, 3]))
             reports.append(support_implies_failed(
-                g, laplacian, Rule.PSD, trials=3, seed=[seed, idx, t, 4]))
+                laplacian, Rule.PSD, trials=3, seed=[seed, idx, t, 4]))
             if in_table:
                 reports.extend(rank_lower_bound_check(spec, matrix)
                                for matrix in (sampled, singular, laplacian))
@@ -415,34 +415,34 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-# name -> (runner, the flags it takes).  Every suite accepts --seed and
-# --jobs; --max-n and --budget go only to the suites listed as taking them.
+# name -> (runner, the flags it takes).  A flag goes only to the suites
+# listed as taking it, and the rest refuse it.
 _SUITES = {
     "table1": (run_table1, ("max_n", "budget")),
     "table2": (run_table2, ("max_n", "budget")),
     "table51": (run_table51, ("max_n", "budget")),
     "characterizations": (run_characterizations, ("max_n", "budget")),
-    "exhaustive6": (run_exhaustive, ("max_n", "jobs")),
+    "exhaustive6": (run_exhaustive, ("max_n",)),
     "disconnected": (run_disconnected, ("seed",)),
     "linalg": (run_linalg, ("seed", "max_n")),
 }
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, *, seed: int = 0, jobs: int = 1,
-              max_n: int | None = None, budget: int | None = None) -> dict:
+def run_suite(name: str, *, seed: int | None = None, max_n: int | None = None,
+              budget: int | None = None) -> dict:
     """Run one suite by name.  An unset flag (None) leaves the suite's own
-    default; --max-n or --budget given to a suite that does not take it is
-    refused rather than ignored."""
+    default; a flag given to a suite that does not take it, or a negative
+    --max-n, is refused rather than run."""
     if name not in _SUITES:
         raise SuiteUsageError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if jobs < 1:
-        raise SuiteUsageError(f"--jobs must be at least 1, got {jobs}")
     runner, takes = _SUITES[name]
-    flags = {"seed": seed, "jobs": jobs, "max_n": max_n, "budget": budget}
-    for flag in ("max_n", "budget"):
-        if flags[flag] is not None and flag not in takes:
+    flags = {"seed": seed, "max_n": max_n, "budget": budget}
+    for flag, value in flags.items():
+        if value is not None and flag not in takes:
             raise SuiteUsageError(f"suite {name} does not take "
                                   f"--{flag.replace('_', '-')}")
+    if max_n is not None and max_n < 0:
+        raise SuiteUsageError(f"--max-n must be >= 0, got {max_n}")
     return runner(**{flag: flags[flag] for flag in takes
                      if flags[flag] is not None})

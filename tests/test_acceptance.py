@@ -253,15 +253,12 @@ def test_criterion_8_determinism(capsys):
     start = time.perf_counter()
     failures = []
     suites = [
-        ("verify", "--suite", "table51", "--seed", "7", "--jobs", "2", "--json"),
-        ("verify", "--suite", "disconnected", "--seed", "7", "--jobs", "2",
+        ("verify", "--suite", "table51", "--json"),
+        ("verify", "--suite", "disconnected", "--seed", "7", "--json"),
+        ("verify", "--suite", "linalg", "--seed", "7", "--max-n", "6",
          "--json"),
-        ("verify", "--suite", "linalg", "--seed", "7", "--jobs", "2",
-         "--max-n", "6", "--json"),
-        ("verify", "--suite", "exhaustive6", "--seed", "7", "--jobs", "2",
-         "--max-n", "5", "--json"),
-        ("verify", "--suite", "characterizations", "--seed", "7", "--jobs",
-         "2", "--max-n", "8", "--json"),
+        ("verify", "--suite", "exhaustive6", "--max-n", "5", "--json"),
+        ("verify", "--suite", "characterizations", "--max-n", "8", "--json"),
     ]
     for argv in suites:
         first = run_cli_json(capsys, *argv)

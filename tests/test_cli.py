@@ -186,6 +186,19 @@ class TestAnalyze:
         report = json.loads(out)
         assert all("seconds" in e for e in report["computed"])
 
+    def test_timings_without_json_exits_2(self, capsys):
+        # the TSV output has no time column to put them in
+        code, out, err = run_cli(capsys, "analyze", "--family", "path:4",
+                                 "--timings")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("--family", ""), ("--family=",)])
+    def test_empty_family_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: bad family syntax '', expected kind:params\n"
+
     def test_default_output_byte_identical(self, capsys):
         argv = ("analyze", "--family", "biclique:4,3", "--json")
         _, first, _ = run_cli(capsys, *argv)
@@ -200,17 +213,27 @@ class TestVerify:
         assert code == 0 and "OK" in out
 
     def test_json_byte_identical(self, capsys):
-        argv = ("verify", "--suite", "disconnected", "--seed", "42",
-                "--jobs", "2", "--json")
+        argv = ("verify", "--suite", "disconnected", "--seed", "42", "--json")
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
     def test_exhaustive_small(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "exhaustive6",
-                               "--max-n", "4", "--jobs", "1", "--json")
+                               "--max-n", "4", "--json")
         result = json.loads(out)
         assert code == 0 and result["graphs_checked"] == 75
+
+    @pytest.mark.parametrize("argv, params", [
+        ((), {"seed": 0, "trials": 200, "max_total": 14}),
+        (("--seed", "7"), {"seed": 7, "trials": 200, "max_total": 14}),
+    ])
+    def test_json_records_flags_in_params_only(self, capsys, argv, params):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "disconnected",
+                               *argv, "--json")
+        result = json.loads(out)
+        assert code == 0 and result["params"] == params
+        assert "seed" not in result and "jobs" not in result
 
     @pytest.mark.parametrize("argv", [
         ("disconnected", "--max-n", "5"),
@@ -220,11 +243,27 @@ class TestVerify:
         ("exhaustive6", "--max-n", "-1"),
         ("exhaustive6", "--max-n", "0"),
         ("exhaustive6", "--max-n", "9"),
+        ("table1", "--seed", "7"),
+        ("table2", "--seed", "0"),
+        ("table51", "--seed", "7"),
+        ("characterizations", "--seed", "7"),
+        ("exhaustive6", "--seed", "7"),
+        ("table1", "--max-n", "-5"),
+        ("table2", "--max-n", "-1"),
+        ("table51", "--max-n", "-1"),
+        ("characterizations", "--max-n", "-1"),
+        ("linalg", "--max-n", "-1"),
     ])
-    def test_refuses_flags_it_would_ignore(self, capsys, argv):
+    def test_refuses_flags_it_would_ignore(self, capsys, monkeypatch, argv):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a refused run started a search")
+
+        for name in ("failed_number", "zero_forcing_number", "build_family",
+                     "graph_from_edge_mask"):
+            monkeypatch.setattr(suites, name, no_search)
         suite, *flags = argv
         code, out, err = run_cli(capsys, "verify", "--suite", suite, *flags,
-                                 "--jobs", "1", "--json")
+                                 "--json")
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -243,20 +282,16 @@ class TestVerify:
 
     def test_max_n_zero_is_not_the_default(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "linalg",
-                               "--max-n", "0", "--jobs", "1", "--json")
+                               "--max-n", "0", "--json")
         assert code == 0 and json.loads(out)["params"]["max_n"] == 0
 
-    def test_jobs_defaults_to_one(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "table1",
-                               "--max-n", "3", "--json")
-        assert code == 0 and json.loads(out)["jobs"] == 1
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exits_2(self, capsys, jobs):
-        code, out, err = run_cli(capsys, "verify", "--suite", "exhaustive6",
-                                 "--max-n", "3", "--jobs", jobs, "--json")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+    @pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+    def test_jobs_is_an_unknown_argument(self, capsys, suite):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", suite, "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --jobs 1" in captured.err
 
     @pytest.mark.parametrize("max_n", [0, 5])
     def test_linalg_checks_no_spec_above_max_n(self, capsys, monkeypatch,

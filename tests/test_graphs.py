@@ -18,7 +18,6 @@ from forcekit.graphs import (
     components_within,
     connected_components,
     disjoint_union,
-    find_modules_order2,
     graph_from_edges,
     has_adjacent_module_order2,
     is_connected,
@@ -314,16 +313,15 @@ class TestComponents:
 
 class TestModules:
     def test_k3_all_adjacent_pairs(self):
-        mods = find_modules_order2(fam("complete:3"))
-        assert mods == [(0, 1, True), (0, 2, True), (1, 2, True)]
+        assert fam("complete:3").twin_pairs == (
+            (0, 1, True), (0, 2, True), (1, 2, True))
 
     def test_k22_two_similar_pairs(self):
-        mods = find_modules_order2(fam("biclique:2,2"))
-        assert mods == [(0, 1, False), (2, 3, False)]
+        assert fam("biclique:2,2").twin_pairs == ((0, 1, False), (2, 3, False))
         assert not has_adjacent_module_order2(fam("biclique:2,2"))
 
     def test_p4_none(self):
-        assert find_modules_order2(fam("path:4")) == []
+        assert fam("path:4").twin_pairs == ()
 
     def test_brute_force_all_graphs_up_to_6(self):
         for n in range(1, 7):
@@ -333,7 +331,7 @@ class TestModules:
                 want = [(u, v, v in nbrs[u])
                         for u in range(n) for v in range(u + 1, n)
                         if nbrs[u] - {v} == nbrs[v] - {u}]
-                assert find_modules_order2(g) == want
+                assert list(g.twin_pairs) == want
 
 
 class TestPredicates:

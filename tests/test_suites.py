@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -314,7 +315,7 @@ class TestLinalgSuite:
         # keeps its first five failed reports, in trial order
         rank_calls = []
 
-        def certificate(g, matrix, rule, trials, seed):
+        def certificate(matrix, rule, trials, seed):
             _, idx, t, _ = seed
             return TheoremReport(rule.value, f"instance {idx}", "-", f"t={t}",
                                  rule is Rule.STANDARD)
@@ -358,3 +359,14 @@ class TestDispatch:
     def test_dispatch_honors_max_n(self):
         res = run_suite("table1", max_n=6)
         assert res["ok"]
+
+    def test_readme_flag_table_names_what_each_suite_takes(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        rows = re.findall(r"^\| `([a-z0-9]+)` \| (.*) \|$",
+                          readme.read_text(encoding="utf-8"), re.M)
+        table = {suite: set(re.findall(r"`(--[a-z-]+)`", flags))
+                 for suite, flags in rows}
+        assert len(rows) == len(table)  # one row per suite
+        assert table == {name: {"--" + flag.replace("_", "-")
+                                for flag in suites._SUITES[name][1]}
+                         for name in SUITE_NAMES}
