@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input or usage,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,9 @@ EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on first use, then shared: parse_args keeps no state in it
     parser = argparse.ArgumentParser(
         prog="forcekit",
         description="zero forcing and failed zero forcing analysis")
@@ -88,32 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rules(arg: str) -> list[Rule]:
-    if arg == "standard":
-        return [Rule.STANDARD]
-    if arg == "psd":
-        return [Rule.PSD]
-    return [Rule.STANDARD, Rule.PSD]
-
-
 def _predictions_for(spec: FamilySpec) -> list[dict]:
-    preds = []
     if spec.kind == "union":
-        for rule in (Rule.STANDARD, Rule.PSD):
-            try:
-                preds.append(predicted_failed_union(spec, rule))
-            except UnsupportedFamilyError:
-                pass
-        return [vars(p) for p in preds]
-    for fn in (predicted_F, predicted_Fplus):
+        preds = [predicted_failed_union(spec, rule) for rule in Rule]
+    else:
+        preds = [predicted_F(spec), predicted_Fplus(spec)]
         try:
-            preds.append(fn(spec))
-        except UnsupportedFamilyError:
+            preds.extend(predicted_table51(spec))
+        except UnsupportedFamilyError:  # level-filled trees, edgeless graphs
             pass
-    try:
-        preds.extend(predicted_table51(spec))
-    except UnsupportedFamilyError:
-        pass
     return [vars(p) for p in preds]
 
 
@@ -145,7 +131,8 @@ def _analyze(args) -> int:
 
     computed: list[dict] = []
     values: dict[tuple[str, str], int] = {}
-    for rule in _rules(args.rule):
+    rules = list(Rule) if args.rule == "both" else [Rule(args.rule)]
+    for rule in rules:
         for param in params:
             search = zero_forcing_number if param == "Z" else failed_number
             start = time.perf_counter()
@@ -170,7 +157,7 @@ def _analyze(args) -> int:
     report = {
         "command": "analyze",
         "graph": {"description": description, "n": g.n, "edges": g.edges()},
-        "rules": [r.value for r in _rules(args.rule)],
+        "rules": [r.value for r in rules],
         "computed": computed,
         "predictions": _predictions_for(spec) if spec else [],
         "checks": [c.as_dict() for c in checks],
@@ -216,12 +203,12 @@ def _print_verify_text(result: dict) -> None:
     print(f"suite {result['suite']}: {result['passed']} passed, "
           f"{result['failed']} failed, "
           f"{result['known_discrepancies']} known discrepancies")
-    for theorem, tally in sorted(result.get("by_theorem", {}).items()):
+    for theorem, tally in sorted(result["by_theorem"].items()):
         print(f"  {theorem}: {tally['passed']}/{tally['passed'] + tally['failed']} ok")
     for check in result["checks"]:
         flag = "known-discrepancy" if check.get("known_discrepancy") else "FAIL"
-        print(f"  {flag} {check.get('theorem', '?')} on {check.get('graph', '?')}: "
-              f"expected {check.get('expected')}, observed {check.get('observed')}")
+        print(f"  {flag} {check['theorem']} on {check['graph']}: "
+              f"expected {check['expected']}, observed {check['observed']}")
     print("OK" if result["ok"] else "FAILED")
 
 

@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .forcing import Rule
-from .graphs import FamilySpec, build_family, has_module_order2, is_path_graph
+from .graphs import FamilySpec, build_family, has_module_order2
 
 EXACT = "exact"
 LOWER_BOUND = "lower-bound"
@@ -168,12 +168,8 @@ def predicted_F(spec: FamilySpec) -> Prediction:
         # F = n - 2 holds exactly when the tree has a module of order 2;
         # the level-filled instances lacking one are paths (only m=2 with
         # n in {1, 4}), where the path formula applies instead.
-        g = build_family(spec)
-        if has_module_order2(g):
-            return Prediction("F", n - 2, EXACT, "Thm 3.6")
-        if is_path_graph(g):
-            return Prediction("F", _path_failed(n), EXACT, "Thm 3.6")
-        raise UnsupportedFamilyError(f"no closed form for marytree{p}")
+        value = n - 2 if has_module_order2(build_family(spec)) else _path_failed(n)
+        return Prediction("F", value, EXACT, "Thm 3.6")
     if k == "empty":
         return Prediction("F", p[0] - 1, EXACT, "Obs 3.4")
     return _table_prediction(TABLE1, "F", spec)

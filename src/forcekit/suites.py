@@ -103,7 +103,7 @@ def _new_result(suite: str, **params) -> dict:
 
 def _record(result: dict, check: dict, known_discrepancy: bool = False) -> None:
     tally = result["by_theorem"].setdefault(
-        check.get("theorem", "?"), {"passed": 0, "failed": 0})
+        check["theorem"], {"passed": 0, "failed": 0})
     if check["pass"]:
         result["passed"] += 1
         tally["passed"] += 1
@@ -119,7 +119,7 @@ def _record(result: dict, check: dict, known_discrepancy: bool = False) -> None:
 
 def _finish(result: dict) -> dict:
     result["ok"] = result["failed"] == 0
-    result["checks"].sort(key=lambda c: (c.get("graph", ""), c.get("theorem", "")))
+    result["checks"].sort(key=lambda c: (c["graph"], c["theorem"]))
     return result
 
 

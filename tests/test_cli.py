@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import forcekit
+import forcekit.cli as cli
 import forcekit.suites as suites
 from forcekit.cli import main
 from forcekit.graphs import build_family
@@ -368,6 +369,34 @@ class TestTable:
     def test_full_stdout_pinned(self, capsys, which, expected):
         code, out, err = run_cli(capsys, "table", "--which", which)
         assert (code, out, err) == (0, expected, "")
+
+
+class TestOneParser:
+    SEQUENCE = (
+        ("analyze", "--family", "wheel:7", "--json"),
+        ("analyze", "--family", "path:3", "--params", "x"),
+        ("verify", "--suite", "bogus"),
+        ("verify", "--suite", "table1", "--max-n", "4", "--json"),
+        ("analyze", "--family", "wheel:7", "--json"),
+    )
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_match_calls_alone(self, capsys, monkeypatch):
+        # argparse wraps its usage lines to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=str(Path(forcekit.__file__).parents[1]))
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            alone = subprocess.run([sys.executable, "-m", "forcekit.cli", *argv],
+                                   env=env, capture_output=True, text=True)
+            assert (code, out, err) == \
+                (alone.returncode, alone.stdout, alone.stderr), argv
 
 
 class TestClosedStdout:

@@ -1,3 +1,5 @@
+from itertools import chain, product
+
 import pytest
 
 from forcekit.forcing import Rule
@@ -18,7 +20,14 @@ from forcekit.formulas import (
     table51_value,
     table_lookup,
 )
-from forcekit.graphs import build_family, parse_family
+from forcekit.graphs import (
+    FAMILY_KINDS,
+    MAX_VERTICES,
+    FamilyError,
+    FamilySpec,
+    build_family,
+    parse_family,
+)
 from forcekit.search import brute_failed_number
 from forcekit.suites import _TABLE51_KINDS, default_family_specs
 
@@ -186,6 +195,30 @@ class TestTable51:
     def test_not_in_table(self, text):
         with pytest.raises(UnsupportedFamilyError):
             predicted_table51(spec(text))
+
+
+class TestEveryInstance:
+    def test_every_plain_instance_has_its_predictions(self):
+        # Parameters over 0..MAX_VERTICES reach every valid instance: a
+        # larger parameter exceeds the vertex cap, except a marytree's
+        # arity m, and every m >= n - 1 builds the same star.
+        values = range(MAX_VERTICES + 1)
+        specs = []
+        for kind in FAMILY_KINDS:
+            for params in chain(((p,) for p in values), product(values, values)):
+                try:
+                    specs.append(FamilySpec(kind, params))
+                except FamilyError:
+                    pass
+        assert len(specs) == 6205
+        for s in specs:
+            assert isinstance(predicted_F(s), Prediction), s
+            assert isinstance(predicted_Fplus(s), Prediction), s
+            if s.kind in ("marytree", "empty"):
+                with pytest.raises(UnsupportedFamilyError):
+                    predicted_table51(s)
+            else:
+                assert len(predicted_table51(s)) == 6, s
 
 
 class TestComposition:

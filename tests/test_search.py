@@ -1,5 +1,7 @@
 import random
+import re
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -425,3 +427,14 @@ class TestCrossParameterInvariants:
         assert zp - 1 <= fp <= g.n - 1
         assert fp <= f
         assert zp <= z
+
+
+def test_readme_library_block_prints_what_its_comments_say(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```$",
+                      readme.read_text(encoding="utf-8"), re.S | re.M).group(1)
+    expected = [line.split("# ", 1)[1].split(":")[0]
+                for line in block.splitlines() if line.startswith("print(")]
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == expected
+    assert expected == ["4", "[0, 1, 2]", "0b11", "0b1111111"]
