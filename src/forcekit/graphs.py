@@ -307,14 +307,6 @@ def is_cycle_graph(g: Graph) -> bool:
             and all(g.degree(v) == 2 for v in range(g.n)))
 
 
-def is_path_graph(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    degs = sorted(g.degree(v) for v in range(g.n))
-    return (is_tree(g) and degs[0] == degs[1] == 1
-            and (g.n == 2 or degs[2] == 2) and degs[-1] <= 2)
-
-
 def is_complete(g: Graph) -> bool:
     return g.edge_count() == g.n * (g.n - 1) // 2
 

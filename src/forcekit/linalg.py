@@ -22,11 +22,12 @@ numpy is imported inside the functions that use it, so importing forcekit
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .forcing import Rule, is_failed_set
 from .formulas import table51_value
-from .graphs import FamilySpec, Graph, mask_of
+from .graphs import FamilySpec, Graph
 from .theorems import TheoremReport
 
 if TYPE_CHECKING:
@@ -46,7 +47,10 @@ class PatternMismatchError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PatternMatrix:
-    """A dense symmetric matrix together with the graph it realizes."""
+    """A dense symmetric matrix together with the graph it realizes.
+
+    ``entries`` is stored as a read-only view, so the pattern validated on
+    construction and the SVD kept on first use stay true of it."""
 
     graph: Graph
     entries: np.ndarray
@@ -60,28 +64,51 @@ class PatternMatrix:
             raise PatternMismatchError(f"matrix shape {a.shape} for n={n}")
         if not np.array_equal(a, a.T):
             raise PatternMismatchError("matrix is not symmetric")
-        rows, cols = _edge_positions(self.graph)
-        edge = np.zeros((n, n), dtype=bool)
-        edge[rows, cols] = True
-        wrong = np.argwhere(np.triu(edge != (np.abs(a) > PATTERN_TOL), 1))
-        if len(wrong):
-            i, j = wrong[0]
+        edge = _edge_data(self.graph)[1]
+        nonzero = np.abs(a) > PATTERN_TOL
+        np.fill_diagonal(nonzero, False)
+        if not np.array_equal(nonzero, edge):
+            i, j = np.argwhere(np.triu(edge != nonzero, 1))[0]
             raise PatternMismatchError(
                 f"entry ({i},{j}) {'zero' if edge[i, j] else 'nonzero'} "
                 "contradicts the graph pattern")
+        view = a.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "entries", view)
+
+    @cached_property
+    def _kernel_directions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Right singular vectors (rows), and which of them span the
+        numerical kernel: singular value below KERNEL_TOL times the largest
+        one.  The zero matrix's kernel is the standard basis.  Computed on
+        first use, so a matrix's kernel and rank read one SVD."""
+        import numpy as np
+        _, sigma, vt = np.linalg.svd(self.entries)
+        if sigma[0] <= 0.0:
+            return np.eye(self.graph.n), np.ones(self.graph.n, dtype=bool)
+        return vt, sigma < KERNEL_TOL * sigma[0]
 
 
-def _edge_positions(g: Graph) -> np.ndarray:
-    """Rows and columns (i < j) of g's edges in row-major order, 2 x m."""
+@lru_cache(maxsize=128)
+def _edge_data(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """g's edges as a 2 x m array of rows and columns (i < j, row-major
+    order), and its n x n boolean adjacency pattern (diagonal false); both
+    read-only.  Kept per graph, as every matrix of a graph reads them; 128
+    graphs hold the linalg suite's 100 instances from one run to the next."""
     import numpy as np
-    return np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
+    positions = np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
+    rows, cols = positions
+    pattern = np.zeros((g.n, g.n), dtype=bool)
+    pattern[rows, cols] = pattern[cols, rows] = True
+    positions.flags.writeable = pattern.flags.writeable = False
+    return positions, pattern
 
 
 def _sampled_entries(g: Graph, rng: np.random.Generator) -> np.ndarray:
     """Entries of a random symmetric matrix fitting g: edge entries uniform
     over [-2,-0.5] u [0.5,2], free diagonal uniform over [-2,2]."""
     import numpy as np
-    rows, cols = _edge_positions(g)
+    rows, cols = _edge_data(g)[0]
     # A magnitude and then a sign per edge, in row-major order.  The sign is
     # the draw rng.choice((-1.0, 1.0)) makes, without its per-call setup.
     values = [rng.uniform(0.5, 2.0) * (-1.0, 1.0)[rng.integers(2)] for _ in rows]
@@ -117,45 +144,37 @@ def weighted_laplacian(g: Graph, seed) -> PatternMatrix:
     semidefinite by construction, pattern g, nullity = component count."""
     import numpy as np
     rng = np.random.default_rng(seed)
-    rows, cols = _edge_positions(g)
+    rows, cols = _edge_data(g)[0]
     w = np.zeros((g.n, g.n))
     w[rows, cols] = w[cols, rows] = rng.uniform(0.5, 2.0, size=len(rows))
     return PatternMatrix(g, np.diag(w.sum(1)) - w, psd=True)
 
 
-def _kernel_directions(matrix: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Right singular vectors (rows), and which of them span the numerical
-    kernel: singular value below KERNEL_TOL times the largest one.  The
-    zero matrix's kernel is the standard basis."""
-    import numpy as np
-    _, sigma, vt = np.linalg.svd(matrix.entries)
-    if sigma[0] <= 0.0:
-        return np.eye(matrix.graph.n), np.ones(matrix.graph.n, dtype=bool)
-    return vt, sigma < KERNEL_TOL * sigma[0]
-
-
 def kernel_basis(matrix: PatternMatrix) -> list[np.ndarray]:
     """Orthonormal basis of the numerical kernel."""
-    vt, kernel = _kernel_directions(matrix)
+    vt, kernel = matrix._kernel_directions
     return list(vt[kernel])
 
 
 def numerical_rank(matrix: PatternMatrix) -> int:
     import numpy as np
-    return int(np.count_nonzero(~_kernel_directions(matrix)[1]))
+    return int(np.count_nonzero(~matrix._kernel_directions[1]))
 
 
-def support_zero_set(x: np.ndarray) -> int:
-    """Bitmask of coordinates that vanish relative to the largest one."""
+def support_zero_sets(vectors: np.ndarray) -> list[int]:
+    """Per row of a 2-D array, the bitmask of its coordinates that vanish
+    relative to that row's largest one."""
     import numpy as np
-    peak = np.max(np.abs(x))
-    if peak == 0.0:
+    magnitudes = np.abs(vectors)
+    peaks = magnitudes.max(axis=1)
+    if not peaks.all():
         raise ValueError("zero vector has no support")
-    return mask_of(np.flatnonzero(np.abs(x) <= SUPPORT_TOL * peak).tolist())
+    zero = magnitudes <= SUPPORT_TOL * peaks[:, None]
+    return (zero @ (1 << np.arange(vectors.shape[1]))).tolist()
 
 
-def _sparsify(basis: list[np.ndarray]) -> list[np.ndarray]:
-    """Row-reduce the basis to kernel vectors of small support (for
+def _sparsify(basis: np.ndarray) -> np.ndarray:
+    """Row-reduce the basis rows to kernel vectors of small support (for
     block-diagonal matrices this recovers per-component vectors)."""
     import numpy as np
     rows = np.array(basis, dtype=float)
@@ -173,7 +192,7 @@ def _sparsify(basis: list[np.ndarray]) -> list[np.ndarray]:
         r += 1
         if r == m:
             break
-    return [rows[i] for i in range(r)]
+    return rows[:r]
 
 
 def support_implies_failed(matrix: PatternMatrix, rule: Rule,
@@ -184,8 +203,9 @@ def support_implies_failed(matrix: PatternMatrix, rule: Rule,
 
     Checking the full zero set suffices: subsets of failed sets are failed.
     Tested vectors are the kernel basis, its row-reduced sparsification, and
-    ``trials`` random unit combinations.  Matrices checked under the PSD
-    rule must carry the psd flag.
+    ``trials`` random unit combinations; each distinct zero set among them
+    is checked once, in vector order.  Matrices checked under the PSD rule
+    must carry the psd flag.
     """
     import numpy as np
     g = matrix.graph
@@ -196,16 +216,21 @@ def support_implies_failed(matrix: PatternMatrix, rule: Rule,
     name = f"n={g.n} kernel dim {len(basis)}"
     if not basis:
         return TheoremReport(theorem, name, "all failed", "trivial kernel", True)
-    vectors = list(basis) + _sparsify(basis)
+    basis = np.array(basis)
+    combinations = []
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         coeffs = rng.normal(size=len(basis))
         norm = np.linalg.norm(coeffs)
         if norm < 1e-12:
             continue
-        vectors.append((coeffs / norm) @ np.array(basis))
-    for x in vectors:
-        zero_set = support_zero_set(x)
+        combinations.append((coeffs / norm) @ basis)
+    vectors = np.vstack([basis, _sparsify(basis), *combinations])
+    checked = set()
+    for zero_set in support_zero_sets(vectors):
+        if zero_set in checked:
+            continue
+        checked.add(zero_set)
         if not is_failed_set(g, zero_set, rule):
             return TheoremReport(theorem, name, "all failed",
                                  f"zero set {zero_set:#x} of a kernel vector forces",

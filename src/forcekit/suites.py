@@ -383,8 +383,15 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
         in_table = spec.kind in _TABLE51_KINDS
         reports = []
         for t in range(trials):
-            sampled = sample_pattern_matrix(g, [seed, idx, t, 0])
-            singular = shifted_singular_matrix(g, [seed, idx, t, 1])
+            # Each matrix draws from its own seed, so one that no check
+            # reads is not built: the standard certificate reads the
+            # sampled matrix on even trials and the singular one on odd
+            # trials, and only Table 5.1 families get rank checks.
+            sampled = singular = None
+            if in_table or t % 2 == 0:
+                sampled = sample_pattern_matrix(g, [seed, idx, t, 0])
+            if in_table or t % 2:
+                singular = shifted_singular_matrix(g, [seed, idx, t, 1])
             laplacian = weighted_laplacian(g, [seed, idx, t, 2])
             reports.append(support_implies_failed(
                 singular if t % 2 else sampled, Rule.STANDARD,

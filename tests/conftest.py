@@ -12,6 +12,7 @@ from forcekit.graphs import (
     components_within,
     connected_components,
     graph_from_edges,
+    is_tree,
     mask_of,
 )
 from forcekit.linalg import PatternMatrix
@@ -240,6 +241,14 @@ def enumerate_maximal_failed(g: Graph, rule: Rule,
         if not can_force_into(g, w, rule):
             minimal_forts.append(w)
     return sorted((g.full_mask & ~w for w in minimal_forts), key=bits)
+
+
+def is_path_graph(g: Graph) -> bool:
+    if g.n == 1:
+        return True
+    degs = sorted(g.degree(v) for v in range(g.n))
+    return (is_tree(g) and degs[0] == degs[1] == 1
+            and (g.n == 2 or degs[2] == 2) and degs[-1] <= 2)
 
 
 def serialize_graph(g: Graph) -> str:

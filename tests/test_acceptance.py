@@ -12,7 +12,7 @@ import forcekit.suites as suites
 from forcekit.cli import main
 from forcekit.forcing import Rule
 from forcekit.formulas import table51_value
-from forcekit.graphs import FamilySpec, build_family, is_path_graph
+from forcekit.graphs import FamilySpec, build_family
 from forcekit.search import failed_number
 from forcekit.suites import (
     default_family_specs,
@@ -21,7 +21,7 @@ from forcekit.suites import (
     run_linalg,
 )
 
-from conftest import labeled_exhaustive, run_oracle_equivalence
+from conftest import is_path_graph, labeled_exhaustive, run_oracle_equivalence
 
 SEED = 20260811
 TABLE_KINDS = ("path", "cycle", "complete", "hypercube", "wheel",

@@ -22,7 +22,6 @@ from forcekit.graphs import (
     has_adjacent_module_order2,
     is_connected,
     is_cycle_graph,
-    is_path_graph,
     is_tree,
     mask_of,
     parse_family,
@@ -30,7 +29,7 @@ from forcekit.graphs import (
 )
 from forcekit.suites import default_family_specs
 
-from conftest import graph_from_edge_mask, graphs, serialize_graph
+from conftest import graph_from_edge_mask, graphs, is_path_graph, serialize_graph
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

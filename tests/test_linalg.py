@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from forcekit.forcing import Rule
+import forcekit.linalg as linalg
+import forcekit.suites as suites
+from forcekit.forcing import Rule, is_failed_set
 from forcekit.graphs import build_family, connected_components, parse_family
 from forcekit.linalg import (
     PatternMatrix,
@@ -12,7 +14,7 @@ from forcekit.linalg import (
     sample_pattern_matrix,
     shifted_singular_matrix,
     support_implies_failed,
-    support_zero_set,
+    support_zero_sets,
     weighted_laplacian,
 )
 
@@ -124,6 +126,26 @@ class TestValidation:
         with pytest.raises(PatternMismatchError):
             PatternMatrix(fam("path:3"), np.zeros((2, 2)))
 
+    def test_patterns_are_kept_per_graph(self):
+        # Edgeless graphs of different orders share an (empty) edge list
+        # but not a pattern; once patterns are kept, each graph is still
+        # validated against its own.
+        for text in ("empty:3", "empty:5", "complete:1", "path:3"):
+            m = sample_pattern_matrix(fam(text), seed=0)
+            assert pattern_of(m.entries) == set(fam(text).edges())
+        entries = np.eye(5)
+        entries[1, 3] = entries[3, 1] = 1.0
+        with pytest.raises(PatternMismatchError,
+                           match=r"^entry \(1,3\) nonzero contradicts the graph pattern$"):
+            PatternMatrix(fam("empty:5"), entries)
+        PatternMatrix(fam("complete:1"), np.zeros((1, 1)))
+        self.test_names_first_wrong_entry_in_row_major_order()
+
+    def test_entries_are_read_only(self):
+        m = sample_pattern_matrix(fam("path:3"), seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            m.entries[0, 0] = 1.0
+
 
 class TestValidationCount:
     @pytest.fixture
@@ -143,9 +165,45 @@ class TestValidationCount:
         assert validations[0] == 1
 
     def test_linalg_suite_validates_each_matrix_once(self, validations):
-        # 100 instances of order <= 12, two trials, three matrices each
+        # 100 instances of order <= 12, two trials each.  The 63 Table 5.1
+        # instances build three matrices a trial, as each gets a rank
+        # check; the other 37 build two: the one the standard certificate
+        # reads and the Laplacian.
         run_linalg(0, trials=2, max_n=12)
-        assert validations[0] == 100 * 2 * 3
+        assert validations[0] == 63 * 2 * 3 + 37 * 2 * 2 == 526
+
+    def test_linalg_suite_decomposes_each_matrix_once(self, monkeypatch):
+        # A matrix's kernel basis and numerical rank read one SVD; taking
+        # it again for each rank check made 778 of them.
+        calls = [0]
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        run_linalg(0, trials=2, max_n=12)
+        assert calls[0] == 526
+
+    @pytest.mark.parametrize("text,built", [
+        # the standard certificate reads the sampled matrix on even trials
+        # and the singular one on odd trials; a Table 5.1 family also
+        # checks the rank of both on every trial
+        ("marytree:2,7", {"sample_pattern_matrix": 2, "shifted_singular_matrix": 2}),
+        ("path:7", {"sample_pattern_matrix": 4, "shifted_singular_matrix": 4}),
+    ])
+    def test_linalg_suite_builds_only_read_matrices(self, monkeypatch, text, built):
+        calls = dict.fromkeys(built, 0)
+        for name in built:
+            def counting(*args, _name=name, _build=getattr(suites, name)):
+                calls[_name] += 1
+                return _build(*args)
+            monkeypatch.setattr(suites, name, counting)
+        monkeypatch.setattr(suites, "default_family_specs",
+                            lambda max_n: [parse_family(text)])
+        assert run_linalg(0, trials=4, max_n=0)["ok"]
+        assert calls == built
 
 
 class TestLaplacian:
@@ -215,7 +273,7 @@ class TestKernelBasis:
         m = PatternMatrix(fam("empty:3"), np.diag([2.0, 0.0, -1.0]))
         basis = kernel_basis(m)
         assert len(basis) == 1
-        assert support_zero_set(basis[0]) == 0b101
+        assert support_zero_sets(np.array(basis)) == [0b101]
 
     def test_zero_matrix_full_kernel(self):
         m = PatternMatrix(fam("empty:2"), np.zeros((2, 2)))
@@ -263,6 +321,52 @@ class TestSupportImpliesFailed:
         m = PatternMatrix(g, np.diag([0.0, 1.0]))
         rep = support_implies_failed(m, Rule.STANDARD, trials=3, seed=0)
         assert rep.passed
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The zero sets passed to is_failed_set, in order; the sets in
+        ``forcing`` are reported as forcing."""
+        calls = []
+        forcing = set()
+
+        def recording(g, zero_set, rule):
+            calls.append(zero_set)
+            return zero_set not in forcing and is_failed_set(g, zero_set, rule)
+
+        monkeypatch.setattr(linalg, "is_failed_set", recording)
+        return calls, forcing
+
+    def test_each_distinct_zero_set_checked_once(self, checked):
+        # kernel e0, e1 (zero sets 0b110, 0b101 from the basis and again
+        # from its sparsification) and three combinations (zero set 0b100)
+        calls, _ = checked
+        m = PatternMatrix(fam("empty:3"), np.diag([0.0, 0.0, 1.0]))
+        rep = support_implies_failed(m, Rule.STANDARD, trials=3, seed=0)
+        assert rep.passed
+        assert rep.observed == "7 vectors failed"
+        assert sorted(calls) == [0b100, 0b101, 0b110]
+        assert calls[-1] == 0b100
+
+    def test_one_zero_set_for_a_connected_laplacian(self, checked):
+        calls, _ = checked
+        rep = support_implies_failed(weighted_laplacian(fam("wheel:6"), 1),
+                                     Rule.PSD, trials=5, seed=2)
+        assert rep.observed == "7 vectors failed"
+        assert calls == [0]
+
+    @pytest.mark.parametrize("forces", [0b110, 0b100])
+    def test_forcing_zero_set_is_named(self, checked, forces):
+        calls, forcing = checked
+        forcing.add(forces)
+        m = PatternMatrix(fam("empty:3"), np.diag([0.0, 0.0, 1.0]))
+        rep = support_implies_failed(m, Rule.STANDARD, trials=3, seed=0)
+        assert not rep.passed
+        assert rep.observed == f"zero set {forces:#x} of a kernel vector forces"
+        assert calls[-1] == forces
+
+    def test_zero_vector_has_no_support(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            support_zero_sets(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_psd_rule_needs_psd_matrix(self):
         g = fam("path:3")
