@@ -56,8 +56,9 @@ from .theorems import (
 # The families that Table 5.1 tabulates Z, Z+, mr and mr+ for.
 _TABLE51_KINDS = tuple(dict.fromkeys(row.kind for row in TABLE51))
 
-# exhaustive6 marks each of the 2^(n(n-1)/2) labeled graphs of order n in
-# a bytearray: about 2.1 MB at n = 7, 268 MB at n = 8.
+# exhaustive6 counts the edges of each of the 2^(n(n-1)/2) labeled graphs
+# of order n in one bytearray and marks them in another: about 4.2 MB at
+# n = 7, 537 MB at n = 8.
 _EXHAUSTIVE_MAX_N = 7
 
 
@@ -222,44 +223,62 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 
 def _edge_mask_classes(n: int) -> list[tuple[int, int]]:
     """(representative, orbit size) for each isomorphism class of graphs of
-    order n, in increasing order of representative.  A class is an orbit of
-    edge masks under relabeling, and its representative is its least mask:
-    masks are visited in increasing order, and each one not yet marked
-    starts a depth-first walk that marks its whole orbit through the
-    adjacent transpositions (i, i+1), which generate every relabeling."""
+    order n <= 7, in increasing order of representative.  A class is an
+    orbit of edge masks under relabeling, and its representative is its
+    least mask.
+
+    The swap (0 1) and the rotation v -> v+1 mod n generate every
+    relabeling, and an orbit is connected under any generating set, so a
+    walk through these two marks a whole orbit.  Masks are visited in
+    increasing order, and each one not yet marked starts a walk.
+    Only masks with at most m/2 of the m edges are walked: complementing
+    commutes with relabeling, so the complement of a walked orbit with
+    fewer than m/2 edges is the class of the same size whose least mask is
+    the complement of the walked orbit's greatest one."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     position = {pair: k for k, pair in enumerate(pairs)}
-    # Relabeling i <-> i+1 swaps the bit of edge {i, k} with the higher bit
-    # of edge {i+1, k} for each k outside the pair; each transposition is
-    # a list of delta swaps (distance, mask of the lower bits).
-    transpositions = []
-    for i in range(n - 1):
-        swaps: dict[int, int] = {}
-        for k in range(n):
-            if k not in (i, i + 1):
-                lo = position[min(i, k), max(i, k)]
-                hi = position[min(i + 1, k), max(i + 1, k)]
-                swaps[hi - lo] = swaps.get(hi - lo, 0) | 1 << lo
-        transpositions.append(tuple(swaps.items()))
-    marked = bytearray(1 << len(pairs))
+    m = len(pairs)
+    # Each generator permutes the edge bits.  Per generator, one table for
+    # each byte of a mask (m <= 21 needs three) maps the byte's value to its
+    # image, so the image of a mask is the OR of three lookups.
+    tables = []
+    for perm in ([1, 0, *range(2, n)], [*range(1, n), 0]):
+        image = [position[min(perm[i], perm[j]), max(perm[i], perm[j])]
+                 for i, j in pairs]
+        for low in (0, 8, 16):
+            table = [0]
+            for k in range(low, min(low + 8, m)):
+                table += [t | 1 << image[k] for t in table]
+            tables.append(table)
+    s0, s1, s2, r0, r1, r2 = tables
+    # Masks with more than m/2 edges start out marked.  edge_count[x] is
+    # the popcount of x, built by doubling: the upper half of the masks of
+    # k + 1 bits counts one more edge than the lower half.
+    edge_count = bytearray(1)
+    for _ in range(m):
+        edge_count += edge_count.translate(bytes([*range(1, 256), 0]))
+    marked = edge_count.translate(bytes(int(2 * e > m) for e in range(256)))
+    full = (1 << m) - 1
     classes = []
-    for rep in range(len(marked)):
-        if marked[rep]:
-            continue
+    rep = marked.find(0)
+    while rep >= 0:
         marked[rep] = 1
-        stack, size = [rep], 0
-        while stack:
-            mask = stack.pop()
-            size += 1
-            for swaps in transpositions:
-                image = mask
-                for shift, low in swaps:
-                    t = (image >> shift ^ image) & low
-                    image ^= t | t << shift
-                if not marked[image]:
-                    marked[image] = 1
-                    stack.append(image)
-        classes.append((rep, size))
+        orbit = [rep]
+        for mask in orbit:
+            a, b, c = mask & 255, mask >> 8 & 255, mask >> 16
+            image = s0[a] | s1[b] | s2[c]
+            if not marked[image]:
+                marked[image] = 1
+                orbit.append(image)
+            image = r0[a] | r1[b] | r2[c]
+            if not marked[image]:
+                marked[image] = 1
+                orbit.append(image)
+        classes.append((rep, len(orbit)))
+        if 2 * rep.bit_count() < m:
+            classes.append((full ^ max(orbit), len(orbit)))
+        rep = marked.find(0, rep + 1)
+    classes.sort()
     return classes
 
 

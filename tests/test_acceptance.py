@@ -173,6 +173,23 @@ def test_criterion_4_exhaustive_order_6(monkeypatch):
     assert counts == oracle["counts"]
 
 
+def test_criterion_4_exhaustive_order_7():
+    # the same theorems on every graph of order 7 as well: 1,044 classes
+    # of 2^21 labeled graphs
+    start = time.perf_counter()
+    res = run_exhaustive(max_n=7)
+    elapsed = time.perf_counter() - start
+    failures = [f"{theorem}: {tally['failed']} violations"
+                for theorem, tally in sorted(res["by_theorem"].items())
+                if tally["failed"]]
+    failures.extend(str(v) for v in res["violation_samples"])
+    report(4, "exhaustive characterizations on all graphs n<=7", failures,
+           elapsed)
+    assert res["ok"]
+    assert res["graphs_checked"] == 2_131_019
+    assert res["violation_samples"] == []
+
+
 def test_criterion_5_disconnected_composition():
     start = time.perf_counter()
     res = run_disconnected(seed=SEED, trials=200, max_total=14)

@@ -209,37 +209,76 @@ def _loaded_on_import(package: str) -> str:
     return out.stdout
 
 
-class TestEdgeMaskClasses:
-    def test_class_counts(self):
-        # OEIS A000088: graphs on n unlabeled vertices
-        assert [len(suites._edge_mask_classes(n)) for n in range(1, 7)] == [
-            1, 2, 4, 11, 34, 156]
+@pytest.fixture(scope="module")
+def mask_classes():
+    """_edge_mask_classes(n) for n = 1..7, computed once: order 7 takes
+    about a second."""
+    return {n: suites._edge_mask_classes(n) for n in range(1, 8)}
 
-    def test_class_counts_match_graph_atlas(self):
+
+@pytest.fixture(scope="module")
+def relabelings(mask_classes):
+    """For n <= 6, each class representative's images under all n!
+    relabelings, in the order of permutations()."""
+    return {n: {rep: [_relabeled(n, rep, perm)
+                      for perm in permutations(range(n))]
+                for rep, _ in mask_classes[n]}
+            for n in range(1, 7)}
+
+
+class TestEdgeMaskClasses:
+    def test_class_counts(self, mask_classes):
+        # OEIS A000088: graphs on n unlabeled vertices
+        assert [len(mask_classes[n]) for n in range(1, 8)] == [
+            1, 2, 4, 11, 34, 156, 1044]
+
+    def test_class_counts_match_graph_atlas(self, mask_classes):
         nx = pytest.importorskip("networkx")
         atlas = Counter(g.number_of_nodes() for g in nx.graph_atlas_g())
-        for n in range(1, 7):
-            assert len(suites._edge_mask_classes(n)) == atlas[n]
+        for n in range(1, 8):
+            assert len(mask_classes[n]) == atlas[n]
 
-    def test_orbits_cover_every_labeled_graph(self):
-        for n in range(1, 7):
-            orbits = [size for _, size in suites._edge_mask_classes(n)]
+    def test_orbits_cover_every_labeled_graph(self, mask_classes):
+        for n in range(1, 8):
+            orbits = [size for _, size in mask_classes[n]]
             assert sum(orbits) == 1 << (n * (n - 1) // 2)
 
-    def test_orbits_by_brute_force(self):
+    def test_orbits_by_brute_force(self, mask_classes, relabelings):
         # every relabeling of each representative: it is the least mask
         # of its orbit, and the orbit has n!/|Aut| masks
-        for n in range(1, 6):
-            classes = suites._edge_mask_classes(n)
+        for n in range(1, 7):
+            classes = mask_classes[n]
             assert [rep for rep, _ in classes] == sorted(
                 rep for rep, _ in classes)
             for rep, size in classes:
-                images = [_relabeled(n, rep, perm)
-                          for perm in permutations(range(n))]
+                images = relabelings[n][rep]
                 automorphisms = images.count(rep)
                 assert min(images) == rep
                 assert len(set(images)) == size
                 assert size == factorial(n) // automorphisms
+
+    def test_complement_maps_classes_onto_classes(self, mask_classes,
+                                                  relabelings):
+        # the walk covers only masks with at most half of the edges and
+        # takes the other classes as complements: the complement of each
+        # representative lies in a class of the same orbit size, whose
+        # least mask is the complement of the greatest mask in the
+        # representative's orbit
+        self_complementary = []
+        for n in range(1, 7):
+            full = (1 << n * (n - 1) // 2) - 1
+            size_of = dict(mask_classes[n])
+            class_of = {image: rep for rep, images in relabelings[n].items()
+                        for image in images}
+            count = 0
+            for rep, size in mask_classes[n]:
+                partner = class_of[full ^ rep]
+                assert partner == full ^ max(relabelings[n][rep])
+                assert size_of[partner] == size
+                count += partner == rep
+            self_complementary.append(count)
+        # OEIS A000171: self-complementary graphs on n vertices
+        assert self_complementary == [1, 0, 0, 1, 2, 0]
 
 
 def _relabeled(n: int, mask: int, perm) -> int:
