@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 
-from .graphs import Graph, VertexSet, components_within
+from .graphs import Graph, VertexSet
+from .graphs import components_within  # noqa: F401  (traced by perfbench/tracing.py)
 
 
 class Rule(enum.Enum):
@@ -29,25 +30,53 @@ def _check_subset(g: Graph, blue: VertexSet) -> None:
 _STANDARD = Rule.STANDARD
 
 
-def _scopes(g: Graph, white: VertexSet, rule: Rule):
-    """Where a blue vertex must see exactly one white neighbor to force it:
-    the whole white set under the standard rule, each white component under
-    PSD.  This is the only difference between the two rules."""
-    return (white,) if rule is _STANDARD else components_within(g, white)
-
-
-def _forced(g: Graph, blue: VertexSet, rule: Rule) -> VertexSet:
+def _forced(g: Graph, blue: VertexSet, rule: Rule,
+            first: bool = False) -> VertexSet:
     """The white vertices that some blue vertex forces against the current
-    coloring."""
+    coloring; with first, only the first force found.
+
+    A blue vertex forces a white vertex when that is its only white
+    neighbor in the scope: the whole white set under the standard rule,
+    each connected component of the white subgraph under PSD.  Under PSD
+    one breadth-first walk finds a component and its neighbors together,
+    and only the blue neighbors are tested: a blue vertex with no neighbor
+    in a component cannot force into it.
+    """
     adj = g.adj
+    white = g.full_mask & ~blue
     forced = 0
-    for scope in _scopes(g, g.full_mask & ~blue, rule):
+    if rule is _STANDARD:
         b = blue
         while b:
             lsb = b & -b
             b ^= lsb
-            m = adj[lsb.bit_length() - 1] & scope
+            m = adj[lsb.bit_length() - 1] & white
             if m and not m & (m - 1):
+                if first:
+                    return m
+                forced |= m
+        return forced
+    rest = white  # the white vertices no walk has reached yet
+    while rest:
+        comp = frontier = rest & -rest
+        rest ^= comp
+        reach = 0  # the neighbors of comp, white or blue
+        while frontier:
+            while frontier:
+                lsb = frontier & -frontier
+                frontier ^= lsb
+                reach |= adj[lsb.bit_length() - 1]
+            frontier = reach & rest
+            rest ^= frontier
+            comp |= frontier
+        b = reach & blue
+        while b:
+            lsb = b & -b
+            b ^= lsb
+            m = adj[lsb.bit_length() - 1] & comp  # never 0: b borders comp
+            if not m & (m - 1):
+                if first:
+                    return m
                 forced |= m
     return forced
 
@@ -56,17 +85,7 @@ def can_force_into(g: Graph, white: VertexSet, rule: Rule) -> bool:
     """True when some color change applies while exactly the vertices of
     white are white; returns at the first force found.  A nonempty white
     set is a fort exactly when this is False."""
-    adj = g.adj
-    blue = g.full_mask & ~white
-    for scope in _scopes(g, white, rule):
-        b = blue
-        while b:
-            lsb = b & -b
-            b ^= lsb
-            m = adj[lsb.bit_length() - 1] & scope
-            if m and not m & (m - 1):
-                return True
-    return False
+    return bool(_forced(g, g.full_mask & ~white, rule, True))
 
 
 def derived_set(g: Graph, blue: VertexSet, rule: Rule) -> VertexSet:

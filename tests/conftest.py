@@ -3,13 +3,12 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from forcekit.forcing import Rule, can_force_into, derived_set
+from forcekit.forcing import Rule, derived_set
 from forcekit.graphs import (
     Graph,
     VertexSet,
     bits,
     build_family,
-    components_within,
     connected_components,
     graph_from_edges,
     is_tree,
@@ -68,23 +67,43 @@ def graph_with_subset(draw, min_n: int = 1, max_n: int = 7):
     return g, sub
 
 
+def _set_components(nbrs: list[set[int]], verts: set[int]) -> list[set[int]]:
+    """Connected components of the subgraph induced by verts, by search
+    over python sets; nbrs[v] is the neighbor set of v."""
+    blocks, todo = [], set(verts)
+    while todo:
+        block, frontier = set(), [todo.pop()]
+        while frontier:
+            u = frontier.pop()
+            block.add(u)
+            for v in nbrs[u] & todo:
+                todo.discard(v)
+                frontier.append(v)
+        blocks.append(block)
+    return blocks
+
+
+def _neighbor_sets(g: Graph) -> list[set[int]]:
+    return [set(bits(row)) for row in g.adj]
+
+
 def reference_closure(g, blue, rule):
     """Asynchronous oracle: apply one valid force at a time using python
     sets; the derived coloring must match the synchronous engine."""
+    nbrs = _neighbor_sets(g)
     blue_set = set(bits(blue))
     while True:
         move = None
-        white = [v for v in range(g.n) if v not in blue_set]
+        white = set(range(g.n)) - blue_set
         if rule is Rule.STANDARD:
-            regions = [set(white)] if white else []
+            regions = [white] if white else []
         else:
-            white_mask = g.full_mask & ~sum(1 << v for v in blue_set)
-            regions = [set(bits(c)) for c in components_within(g, white_mask)]
+            regions = _set_components(nbrs, white)
         for region in regions:
             for u in sorted(blue_set):
-                nbrs = [v for v in bits(g.adj[u]) if v in region]
-                if len(nbrs) == 1:
-                    move = nbrs[0]
+                inside = nbrs[u] & region
+                if len(inside) == 1:
+                    move = inside.pop()
                     break
             if move is not None:
                 break
@@ -93,14 +112,33 @@ def reference_closure(g, blue, rule):
         blue_set.add(move)
 
 
+def _literal_fort(nbrs: list[set[int]], inside: set[int], rule: Rule) -> bool:
+    if not inside:
+        return False
+    blocks = _set_components(nbrs, inside) if rule is Rule.PSD else [inside]
+    for u in range(len(nbrs)):
+        if u not in inside and any(len(nbrs[u] & block) == 1
+                                   for block in blocks):
+            return False
+    return True
+
+
+def literal_is_fort(g: Graph, w: VertexSet, rule: Rule) -> bool:
+    """The fort definition on python sets, independent of forcekit's
+    forcing kernel: w is nonempty and every outside vertex has 0 or >= 2
+    neighbors in w, counted within each component of G[w] under the PSD
+    rule."""
+    return _literal_fort(_neighbor_sets(g), set(bits(w)), rule)
+
+
 def ascending_min_fort(g: Graph, rule: Rule) -> int:
     """The literal minimum-fort scan: sizes ascending, combinations in
-    lexicographic order, the first set whose complement admits no force."""
+    lexicographic order, the first set that ``literal_is_fort`` accepts."""
+    nbrs = _neighbor_sets(g)
     for k in range(1, g.n + 1):
         for combo in combinations(range(g.n), k):
-            w = mask_of(combo)
-            if not can_force_into(g, w, rule):
-                return w
+            if _literal_fort(nbrs, set(combo), rule):
+                return mask_of(combo)
     raise AssertionError("V itself is a fort")
 
 
@@ -234,11 +272,12 @@ def enumerate_maximal_failed(g: Graph, rule: Rule,
             f"enumerate_maximal_failed: n={g.n} exceeds the scan guard "
             f"(n <= {BRUTE_FORCE_MAX_N})")
     tracker = _Budget(budget, "enumerate_maximal_failed")
+    nbrs = _neighbor_sets(g)
     minimal_forts: list[VertexSet] = []
     for w in _ascending_subsets(g.n, tracker):
         if any(f & w == f for f in minimal_forts):
             continue
-        if not can_force_into(g, w, rule):
+        if _literal_fort(nbrs, set(bits(w)), rule):
             minimal_forts.append(w)
     return sorted((g.full_mask & ~w for w in minimal_forts), key=bits)
 

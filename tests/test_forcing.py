@@ -12,6 +12,7 @@ from forcekit.forcing import (
     is_stalled,
 )
 from forcekit.graphs import build_family, parse_family
+from forcekit.suites import _edge_mask_classes
 
 from conftest import graph_from_edge_mask, graph_with_subset, graphs, \
     reference_closure
@@ -100,21 +101,25 @@ class TestClosure:
         assert std & ~psd == 0
 
     def test_every_small_graph_and_subset(self):
-        # every labeled graph with n <= 5, every subset, both rules: the
+        # every labeled graph with n <= 5, and one graph from each of the
+        # 156 isomorphism classes of order 6 (whose white sets often have
+        # three or more components), every subset, both rules: the
         # synchronous rounds reach the async oracle's coloring, and a set
         # is stalled exactly when the oracle leaves it as it is
+        small = [graph_from_edge_mask(n, edges) for n in range(1, 6)
+                 for edges in range(1 << (n * (n - 1) // 2))]
+        order6 = [graph_from_edge_mask(6, edges)
+                  for edges, _ in _edge_mask_classes(6)]
         cases = 0
-        for n in range(1, 6):
-            for edges in range(1 << (n * (n - 1) // 2)):
-                g = graph_from_edge_mask(n, edges)
-                for sub in range(g.full_mask + 1):
-                    for rule in BOTH:
-                        ref = reference_closure(g, sub, rule)
-                        assert derived_set(g, sub, rule) == ref
-                        assert is_stalled(g, sub, rule) == (
-                            ref == sub and sub != g.full_mask)
-                        cases += 1
-        assert cases == 67_732
+        for g in small + order6:
+            for sub in range(g.full_mask + 1):
+                for rule in BOTH:
+                    ref = reference_closure(g, sub, rule)
+                    assert derived_set(g, sub, rule) == ref
+                    assert is_stalled(g, sub, rule) == (
+                        ref == sub and sub != g.full_mask)
+                    cases += 1
+        assert cases == 67_732 + 19_968
 
 
 class TestClassification:

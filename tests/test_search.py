@@ -19,6 +19,7 @@ from forcekit.search import (
     min_fort,
     zero_forcing_number,
 )
+from forcekit.suites import _edge_mask_classes
 
 from conftest import (
     ascending_min_fort,
@@ -27,6 +28,7 @@ from conftest import (
     graph_from_edge_mask,
     graph_with_subset,
     graphs,
+    literal_is_fort,
     reference_closure,
     seeded_random_graph,
     twin_graphs,
@@ -38,33 +40,6 @@ TWIN_FAMILIES = ("biclique:4,4", "complete:8", "marytree:3,9")
 
 def fam(text):
     return build_family(parse_family(text))
-
-
-def literal_is_fort(g, w, rule):
-    """The fort definition on python sets: w is nonempty and every outside
-    vertex has 0 or >= 2 neighbors in w, within each component of G[w]
-    under the PSD rule."""
-    inside = set(bits(w))
-    if not inside:
-        return False
-    blocks = [inside]
-    if rule is Rule.PSD:
-        blocks, todo = [], set(inside)
-        while todo:
-            block, frontier = set(), [todo.pop()]
-            while frontier:
-                u = frontier.pop()
-                block.add(u)
-                for v in bits(g.adj[u]):
-                    if v in todo:
-                        todo.discard(v)
-                        frontier.append(v)
-            blocks.append(block)
-    for u in set(range(g.n)) - inside:
-        nbrs = set(bits(g.adj[u]))
-        if any(len(nbrs & block) == 1 for block in blocks):
-            return False
-    return True
 
 
 def twin_prefix_closed(g, s):
@@ -222,6 +197,21 @@ class TestMinFort:
     def test_is_fort_matches_definition(self, gs, rule):
         g, w = gs
         assert is_fort(g, w, rule) == literal_is_fort(g, w, rule)
+
+    def test_is_fort_matches_definition_on_every_small_class(self):
+        # every nonempty subset of one graph from each isomorphism class of
+        # order <= 6, both rules: white sets of three or more components
+        # are common there
+        cases = 0
+        for n in range(1, 7):
+            for edges, _ in _edge_mask_classes(n):
+                g = graph_from_edge_mask(n, edges)
+                for w in range(1, g.full_mask + 1):
+                    for rule in BOTH:
+                        assert is_fort(g, w, rule) == \
+                            literal_is_fort(g, w, rule), (n, edges, w, rule)
+                        cases += 1
+        assert cases == 22_164
 
     @pytest.mark.parametrize("rule", BOTH)
     def test_matches_ascending_scan_on_every_small_graph(self, rule):
