@@ -11,8 +11,7 @@ orders), and verifies the kernel-support certificates numerically.
 from .forcing import Rule, derived_set, is_failed_set, is_forcing_set, \
     is_stalled
 from .formulas import Prediction, UnsupportedFamilyError, \
-    compose_disconnected, predicted_F, predicted_failed_union, \
-    predicted_Fplus, predicted_table51
+    compose_disconnected, predicted_failed, predicted_table51
 from .graphs import FamilyError, FamilySpec, Graph, GraphFormatError, \
     VertexSet, bits, build_family, connected_components, components_within, \
     disjoint_union, graph_from_edges, is_tree, mask_of, parse_family, \
@@ -30,8 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Rule", "derived_set", "is_failed_set", "is_forcing_set", "is_stalled",
     "Prediction", "UnsupportedFamilyError", "compose_disconnected",
-    "predicted_F", "predicted_failed_union", "predicted_Fplus",
-    "predicted_table51",
+    "predicted_failed", "predicted_table51",
     "FamilyError", "FamilySpec", "Graph", "GraphFormatError", "VertexSet",
     "bits", "build_family", "connected_components", "components_within",
     "disjoint_union", "graph_from_edges", "is_tree",

@@ -19,12 +19,9 @@ import time
 
 from .forcing import Rule
 from .formulas import (
-    TABLE1,
-    TABLE2,
+    FAILED,
     UnsupportedFamilyError,
-    predicted_F,
-    predicted_failed_union,
-    predicted_Fplus,
+    predicted_failed,
     predicted_table51,
 )
 from .graphs import (
@@ -92,14 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _predictions_for(spec: FamilySpec) -> list[dict]:
-    if spec.kind == "union":
-        preds = [predicted_failed_union(spec, rule) for rule in Rule]
-    else:
-        preds = [predicted_F(spec), predicted_Fplus(spec)]
-        try:
-            preds.extend(predicted_table51(spec))
-        except UnsupportedFamilyError:  # level-filled trees, edgeless graphs
-            pass
+    preds = [predicted_failed(spec, rule) for rule in Rule]
+    try:
+        preds.extend(predicted_table51(spec))
+    except UnsupportedFamilyError:  # unions, level-filled trees, edgeless graphs
+        pass
     return [vars(p) for p in preds]
 
 
@@ -218,14 +212,14 @@ def _print_verify_text(result: dict) -> None:
 
 def _table(args) -> int:
     if args.which == 1:
-        rule, table, param, eq = Rule.STANDARD, TABLE1, "F(G)", "F(G)=mr(G)?"
+        rule, param, eq = Rule.STANDARD, "F(G)", "F(G)=mr(G)?"
     else:
-        rule, table, param, eq = Rule.PSD, TABLE2, "F+(G)", "F+(G)=mr+(G)?"
+        rule, param, eq = Rule.PSD, "F+(G)", "F+(G)=mr+(G)?"
     header = f"{'G':<18} {param:<18} {eq:<14} computed"
     print(header)
     print("-" * len(header))
     instances = default_family_specs()
-    for row in table:
+    for row in FAILED[rule].table:
         checks = [failed_number_check(spec, rule)
                   for spec in instances if row.covers(spec)]
         misses = [f"{c['graph']}={c['observed']}" for c in checks if not c["pass"]]

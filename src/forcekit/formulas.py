@@ -3,11 +3,12 @@
 The paper's Tables 1 (F), 2 (F+) and 5.1 (M, Z, M+, Z+, with Thm 5.2's
 case of F+ < Z+) are coded once, as the rows of TABLE1, TABLE2 and TABLE51;
 the predictions, the theorem checks in ``theorems``, the suites and
-``forcekit table`` all read them.  Every prediction carries the identifier
-of the published result it encodes (e.g. "Thm 3.6") and whether it is
-exact or only a lower bound.  The only lower bounds are the hypercube
-failed numbers for dimension >= 3; everything else is exact on its family
-range.
+``forcekit table`` all read them, and ``predicted_failed`` reads Tables 1
+and 2 through one row per rule, ``FAILED``.  Every prediction carries the
+identifier of the published result it encodes (e.g. "Thm 3.6") and whether
+it is exact or only a lower bound.  The only lower bounds are the hypercube
+failed numbers for dimension >= 3 and the unions with such a member;
+everything else is exact on its family range.
 """
 
 from __future__ import annotations
@@ -151,41 +152,6 @@ def table_lookup(table: tuple[TableRow, ...],
     return row, _entry(row.value, params), _entry(row.meets_mr, params)
 
 
-def _table_prediction(table: tuple[TableRow, ...], parameter: str,
-                      spec: FamilySpec) -> Prediction:
-    if spec.kind == "union":
-        raise UnsupportedFamilyError("use predicted_failed_union for unions")
-    row, value, _ = table_lookup(table, spec)
-    return Prediction(parameter, value, row.exactness, row.source)
-
-
-def predicted_F(spec: FamilySpec) -> Prediction:
-    """Failed zero forcing number of a family instance: a Table 1 row, or
-    one of the trees and edgeless graphs outside the table."""
-    k, p = spec.kind, spec.params
-    if k == "marytree":
-        n = p[1]
-        # F = n - 2 holds exactly when the tree has a module of order 2;
-        # the level-filled instances lacking one are paths (only m=2 with
-        # n in {1, 4}), where the path formula applies instead.
-        value = n - 2 if has_module_order2(build_family(spec)) else _path_failed(n)
-        return Prediction("F", value, EXACT, "Thm 3.6")
-    if k == "empty":
-        return Prediction("F", p[0] - 1, EXACT, "Obs 3.4")
-    return _table_prediction(TABLE1, "F", spec)
-
-
-def predicted_Fplus(spec: FamilySpec) -> Prediction:
-    """Failed PSD zero forcing number of a family instance: a Table 2 row,
-    or one of the trees and edgeless graphs outside the table."""
-    k, p = spec.kind, spec.params
-    if k == "marytree":
-        return Prediction("Fplus", 0, EXACT, "Thm 4.16")
-    if k == "empty":
-        return Prediction("Fplus", p[0] - 1, EXACT, "Thm 4.2")
-    return _table_prediction(TABLE2, "Fplus", spec)
-
-
 @dataclass(frozen=True)
 class Table51Row:
     """One row of the paper's Table 5.1: the instances it covers (``when``),
@@ -268,19 +234,53 @@ def compose_disconnected(components: list[tuple[int, int]]) -> int:
     return total - min(size - f for size, f in components)
 
 
-def predicted_failed_union(spec: FamilySpec, rule: Rule) -> Prediction:
-    """Failed number of a disjoint union composed from member predictions.
+def _tree_F(spec: FamilySpec) -> int:
+    # F = n - 2 holds exactly when the tree has a module of order 2; the
+    # level-filled instances lacking one are paths (only m=2 with n in
+    # {1, 4}), where the path formula applies instead.
+    n = spec.params[1]
+    return n - 2 if has_module_order2(build_family(spec)) else _path_failed(n)
 
-    Exact when every member prediction is exact; a lower bound otherwise
-    (the composition formula is monotone in each member value).
+
+@dataclass(frozen=True)
+class FailedRow:
+    """One rule's failed number: its name, its table, and the results for
+    unions, edgeless graphs and level-filled trees, which no row covers."""
+
+    parameter: str
+    table: tuple[TableRow, ...]
+    union_source: str
+    empty_source: str
+    tree_source: str
+    tree_value: Callable[[FamilySpec], int]
+
+
+FAILED = {
+    Rule.STANDARD: FailedRow("F", TABLE1, "Cor 3.3", "Obs 3.4", "Thm 3.6", _tree_F),
+    Rule.PSD: FailedRow("Fplus", TABLE2, "Cor 4.8", "Thm 4.2", "Thm 4.16",
+                        lambda spec: 0),
+}
+
+
+def predicted_failed(spec: FamilySpec, rule: Rule) -> Prediction:
+    """Failed number of a family instance under ``rule``: F (Table 1) or
+    F+ (Table 2), or one of the edgeless graphs and level-filled trees
+    outside the tables.  A disjoint union is composed from its members'
+    predictions: exact when every member's is exact, a lower bound
+    otherwise (the composition formula is monotone in each member value).
     """
-    if spec.kind != "union":
-        raise UnsupportedFamilyError("spec is not a union")
-    predict = predicted_F if rule is Rule.STANDARD else predicted_Fplus
-    preds = [predict(m) for m in spec.members]
-    value = compose_disconnected(
-        [(m.order(), pred.value) for m, pred in zip(spec.members, preds)])
-    exactness = EXACT if all(p.exactness == EXACT for p in preds) else LOWER_BOUND
-    source = "Cor 3.3" if rule is Rule.STANDARD else "Cor 4.8"
-    parameter = "F" if rule is Rule.STANDARD else "Fplus"
-    return Prediction(parameter, value, exactness, source)
+    row = FAILED[rule]
+    if spec.kind == "union":
+        preds = [predicted_failed(m, rule) for m in spec.members]
+        value = compose_disconnected(
+            [(m.order(), pred.value) for m, pred in zip(spec.members, preds)])
+        exact = all(pred.exactness == EXACT for pred in preds)
+        source = row.union_source
+    elif spec.kind == "empty":
+        value, exact, source = spec.params[0] - 1, True, row.empty_source
+    elif spec.kind == "marytree":
+        value, exact, source = row.tree_value(spec), True, row.tree_source
+    else:
+        table_row, value, _ = table_lookup(row.table, spec)
+        exact, source = table_row.exactness == EXACT, table_row.source
+    return Prediction(row.parameter, value, EXACT if exact else LOWER_BOUND, source)

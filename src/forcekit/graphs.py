@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 MAX_VERTICES = 63
 
@@ -28,6 +28,8 @@ class FamilyError(ValueError):
 
 def bits(mask: VertexSet) -> list[int]:
     """Decode a bitmask into its sorted list of vertex indices."""
+    if mask < 0:
+        raise ValueError(f"a vertex set is a nonnegative mask, got {mask}")
     out = []
     while mask:
         lsb = mask & -mask
@@ -259,30 +261,31 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 # Components and structure predicates
 # ---------------------------------------------------------------------------
 
-def components_within(g: Graph, sub: VertexSet) -> list[VertexSet]:
-    """Connected components of the subgraph induced by ``sub``.
-
-    Blocks are ordered by least vertex.
-    """
+def component_reaches(g: Graph,
+                      sub: VertexSet) -> Iterator[tuple[VertexSet, VertexSet]]:
+    """Yield each connected component of the subgraph induced by ``sub``,
+    by least vertex, with the union of its vertices' neighborhoods, from
+    one breadth-first walk per component."""
     adj = g.adj
-    comps = []
-    rem = sub
-    while rem:
-        comp = rem & -rem
-        frontier = comp
+    rest = sub  # the vertices of sub no walk has reached yet
+    while rest:
+        comp = frontier = rest & -rest
+        rest ^= comp
+        reach = 0
         while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                lsb = f & -f
-                f ^= lsb
-                nxt |= adj[lsb.bit_length() - 1]
-            nxt &= sub & ~comp
-            comp |= nxt
-            frontier = nxt
-        comps.append(comp)
-        rem &= ~comp
-    return comps
+            while frontier:
+                lsb = frontier & -frontier
+                frontier ^= lsb
+                reach |= adj[lsb.bit_length() - 1]
+            frontier = reach & rest
+            rest ^= frontier
+            comp |= frontier
+        yield comp, reach
+
+
+def components_within(g: Graph, sub: VertexSet) -> list[VertexSet]:
+    """Connected components of the subgraph induced by ``sub``, by least vertex."""
+    return [comp for comp, _ in component_reaches(g, sub)]
 
 
 def connected_components(g: Graph) -> list[VertexSet]:

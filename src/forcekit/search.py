@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forcing import Rule, can_force_into, derived_set
-from .graphs import Graph, VertexSet, bits, components_within
+from .graphs import Graph, VertexSet, bits, component_reaches
+from .graphs import components_within  # noqa: F401  (traced by perfbench/tracing.py)
 
 DEFAULT_BUDGET = 20_000_000
 BRUTE_FORCE_MAX_N = 20
@@ -171,13 +172,7 @@ def _must_include(g: Graph, chosen: VertexSet, must: VertexSet,
                     free ^= m
                     grew = True
     if psd:
-        for comp in components_within(g, inside):
-            reach = 0
-            rest = comp
-            while rest:
-                lsb = rest & -rest
-                rest ^= lsb
-                reach |= adj[lsb.bit_length() - 1]
+        for comp, reach in component_reaches(g, inside):
             if reach & free:
                 continue
             reach &= outside

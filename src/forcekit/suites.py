@@ -17,10 +17,10 @@ import random
 from .forcing import Rule
 from .formulas import (
     EXACT,
+    FAILED,
     TABLE51,
     compose_disconnected,
-    predicted_F,
-    predicted_Fplus,
+    predicted_failed,
     table51_lookup,
 )
 from .graphs import (
@@ -132,7 +132,7 @@ def failed_number_check(spec: FamilySpec, rule: Rule,
                         budget: int | None = None) -> dict:
     """The computed failed number of a family instance against its closed
     form: equal to an exact form, at least a lower bound."""
-    pred = (predicted_F if rule is Rule.STANDARD else predicted_Fplus)(spec)
+    pred = predicted_failed(spec, rule)
     got = failed_number(build_family(spec), rule, budget).value
     exact = pred.exactness == EXACT
     return {"graph": spec.label(), "theorem": pred.source,
@@ -334,18 +334,21 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
     return graph_from_edges(n, sorted(edges))
 
 
-def run_disconnected(seed: int = 0, trials: int = 200,
-                     max_total: int = 14) -> dict:
+# A random union is drawn again when it has more vertices than this.
+_DISCONNECTED_MAX_TOTAL = 14
+
+
+def run_disconnected(seed: int = 0, trials: int = 200) -> dict:
     """Composition formula on random disjoint unions, both rules, plus the
     path/cycle component lower bounds on constructed unions."""
     rng = random.Random(seed)
     result = _new_result("disconnected", seed=seed, trials=trials,
-                         max_total=max_total)
+                         max_total=_DISCONNECTED_MAX_TOTAL)
     built = 0
     while built < trials:
         k = rng.randint(2, 4)
         sizes = [rng.randint(1, 6) for _ in range(k)]
-        if sum(sizes) > max_total:
+        if sum(sizes) > _DISCONNECTED_MAX_TOTAL:
             continue
         built += 1
         parts = [random_connected_graph(rng, s) for s in sizes]
@@ -358,7 +361,7 @@ def run_disconnected(seed: int = 0, trials: int = 200,
             direct = failed_number(g, rule).value
             _record(result, {
                 "graph": f"union#{built} sizes={sizes}",
-                "theorem": "Cor 3.3" if rule is Rule.STANDARD else "Cor 4.8",
+                "theorem": FAILED[rule].union_source,
                 "expected": composed, "observed": direct,
                 "pass": composed == direct,
             })

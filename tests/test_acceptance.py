@@ -192,7 +192,7 @@ def test_criterion_4_exhaustive_order_7():
 
 def test_criterion_5_disconnected_composition():
     start = time.perf_counter()
-    res = run_disconnected(seed=SEED, trials=200, max_total=14)
+    res = run_disconnected(seed=SEED, trials=200)
     elapsed = time.perf_counter() - start
     failures = [f"{c['graph']}: {c['theorem']} expected {c['expected']}, "
                 f"got {c['observed']}" for c in res["checks"]]

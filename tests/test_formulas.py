@@ -1,4 +1,4 @@
-from itertools import chain, product
+from itertools import chain, combinations_with_replacement, product
 
 import pytest
 
@@ -12,9 +12,7 @@ from forcekit.formulas import (
     Prediction,
     UnsupportedFamilyError,
     compose_disconnected,
-    predicted_F,
-    predicted_failed_union,
-    predicted_Fplus,
+    predicted_failed,
     predicted_table51,
     table51_lookup,
     table51_value,
@@ -28,12 +26,21 @@ from forcekit.graphs import (
     build_family,
     parse_family,
 )
-from forcekit.search import brute_failed_number
+from forcekit.search import brute_failed_number, failed_number
 from forcekit.suites import _TABLE51_KINDS, default_family_specs
 
 
 def spec(text):
     return parse_family(text)
+
+
+# F and F+ of a family instance, as the paper's Tables 1 and 2 name them
+def predicted_F(s):
+    return predicted_failed(s, Rule.STANDARD)
+
+
+def predicted_Fplus(s):
+    return predicted_failed(s, Rule.PSD)
 
 
 class TestPredictedF:
@@ -241,20 +248,35 @@ class TestComposition:
             s = spec(text)
             g = build_family(s)
             for rule in (Rule.STANDARD, Rule.PSD):
-                pred = predicted_failed_union(s, rule)
+                pred = predicted_failed(s, rule)
                 assert pred.exactness == EXACT
                 assert pred.value == brute_failed_number(g, rule).value
 
+    def test_every_small_pair_of_default_instances(self):
+        # failed_number is pinned to brute_failed_number in test_search.py
+        specs = default_family_specs(max_n=9)
+        checked = {EXACT: 0, LOWER_BOUND: 0}
+        for a, b in combinations_with_replacement(specs, 2):
+            if a.order() + b.order() > 10:
+                continue
+            s = FamilySpec("union", members=(a, b))
+            g = build_family(s)
+            for rule in (Rule.STANDARD, Rule.PSD):
+                pred = predicted_failed(s, rule)
+                got = failed_number(g, rule).value
+                checked[pred.exactness] += 1
+                if pred.exactness == EXACT:
+                    assert got == pred.value, (s.label(), rule)
+                else:
+                    assert got >= pred.value, (s.label(), rule)
+        assert checked == {EXACT: 2866, LOWER_BOUND: 24}
+
     def test_union_with_hypercube_is_lower_bound(self):
-        pred = predicted_failed_union(spec("hypercube:3+path:2"), Rule.STANDARD)
+        pred = predicted_failed(spec("hypercube:3+path:2"), Rule.STANDARD)
         assert pred.exactness == LOWER_BOUND
         got = brute_failed_number(build_family(spec("hypercube:3+path:2")),
                                   Rule.STANDARD).value
         assert got >= pred.value
-
-    def test_union_prediction_requires_union(self):
-        with pytest.raises(UnsupportedFamilyError):
-            predicted_failed_union(spec("path:4"), Rule.STANDARD)
 
 
 class TestFamilySpecOrder:

@@ -15,6 +15,7 @@ from forcekit.graphs import (
     GraphFormatError,
     bits,
     build_family,
+    component_reaches,
     components_within,
     connected_components,
     disjoint_union,
@@ -50,6 +51,15 @@ def to_networkx(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
+
+
+class TestMasks:
+    @pytest.mark.parametrize("mask", [-1, -2, -(1 << 70)])
+    def test_negative_mask_is_a_value_error(self, mask):
+        # mask & -mask never reaches 0 on a negative int, so without the
+        # check the decode would never return
+        with pytest.raises(ValueError, match="nonnegative"):
+            bits(mask)
 
 
 class TestGraphInvariants:
@@ -292,6 +302,22 @@ class TestComponents:
 
     def test_within_k4(self):
         assert components_within(fam("complete:4"), 0b1110) == [0b1110]
+
+    @pytest.mark.parametrize("text", ["cycle:3+path:2", "wheel:6",
+                                      "biclique:3,2", "empty:3"])
+    def test_reaches_on_every_subset(self, text):
+        g = fam(text)
+        h = to_networkx(g)
+        for sub in range(1 << g.n):
+            got = list(component_reaches(g, sub))
+            want = sorted((mask_of(c) for c in
+                           nx.connected_components(h.subgraph(bits(sub)))),
+                          key=lambda m: m & -m)  # by least vertex
+            assert [comp for comp, _ in got] == want
+            for comp, reach in got:
+                assert reach == mask_of(u for v in bits(comp)
+                                        for u in h.neighbors(v))
+            assert components_within(g, sub) == want
 
     @settings(max_examples=60)
     @given(graphs())

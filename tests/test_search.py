@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forcekit.forcing import Rule, is_failed_set, is_forcing_set, is_stalled
-from forcekit.formulas import EXACT, predicted_F, predicted_Fplus
+from forcekit.formulas import EXACT, predicted_failed
 from forcekit.graphs import bits, build_family, parse_family
 from forcekit.search import (
     DEFAULT_BUDGET,
@@ -244,6 +244,16 @@ class TestMinFort:
         # machine, so a weaker prune shows here while the witness stays right.
         min_fort(fam(text), rule, budget=nodes)
 
+    @pytest.mark.parametrize("text,nodes", [
+        ("marytree:2,16", 4_950), ("wheel:20", 8_560), ("cycle:16", 2_984)])
+    def test_psd_budgets_are_exact(self, text, nodes):
+        # the fewest nodes each search takes: a weaker PSD prune (c) needs
+        # more, and one that also cut a fort out would find fewer
+        g = fam(text)
+        min_fort(g, Rule.PSD, budget=nodes)
+        with pytest.raises(SearchBudgetExceeded):
+            min_fort(g, Rule.PSD, budget=nodes - 1)
+
     def test_budget_error_names_the_size_searched(self):
         # path:40 has no fort of fewer than 21 vertices
         with pytest.raises(SearchBudgetExceeded,
@@ -319,7 +329,7 @@ class TestFailedNumber:
         spec = parse_family(text)
         g = build_family(spec)
         res = failed_number(g, rule, DEFAULT_BUDGET)
-        pred = (predicted_F if rule is Rule.STANDARD else predicted_Fplus)(spec)
+        pred = predicted_failed(spec, rule)
         assert pred.exactness == EXACT and res.value == pred.value
         assert is_failed_set(g, res.witness, rule)
         assert is_stalled(g, res.witness, rule)
@@ -427,4 +437,4 @@ def test_readme_library_block_prints_what_its_comments_say(capsys):
                 for line in block.splitlines() if line.startswith("print(")]
     exec(block, {})
     assert capsys.readouterr().out.splitlines() == expected
-    assert expected == ["4", "[0, 1, 2]", "0b11", "0b1111111"]
+    assert expected == ["4", "4 Thm 4.20", "[0, 1, 2]", "0b11", "0b1111111"]
