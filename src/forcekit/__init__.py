@@ -5,7 +5,7 @@ sets are plain integer masks.  The package computes minimum forcing sets
 and maximum failed sets exactly under both the standard and the positive
 semidefinite color-change rule, predicts the values on named families from
 closed forms, checks the characterization theorems (exhaustively on small
-orders), and verifies the kernel-support certificates numerically.
+orders), and verifies the kernel-support certificates exactly.
 """
 
 from .forcing import Rule, derived_set, is_failed_set, is_forcing_set, \

@@ -1,44 +1,41 @@
-"""Numerical kernel-support verification for matrices with a given pattern.
+"""Exact kernel certificates for integer matrices with a given pattern.
 
 A symmetric matrix A fits graph G when its off-diagonal nonzero pattern is
-exactly G's edge set (diagonal free).  Any nonzero kernel vector of such a
-matrix certifies that every vertex set avoiding its support is a failed
-zero forcing set; for positive semidefinite A the same holds under the PSD
-rule.  This module samples pattern matrices, extracts numerical kernels,
-and checks those certificates against the forcing engine, plus a sanity
-bound: every pattern matrix has rank at least the family's tabulated
-minimum rank.
+exactly G's edge set (diagonal free).  The zero set { i : x_i = 0 } of any
+nonzero kernel vector x of such a matrix is a failed zero forcing set
+(Cor 2.10), and a failed PSD zero forcing set when A is positive
+semidefinite (Prop 2.12).  This module draws integer pattern matrices,
+finds their kernels, and checks those certificates against the forcing
+engine, plus a sanity bound: every pattern matrix has rank at least the
+family's tabulated minimum rank.
 
-Tolerances are fixed module constants: singular values below 1e-9 of the
-largest are kernel directions (KERNEL_TOL); coordinates below 1e-7 of a
-vector's max magnitude count as zero (SUPPORT_TOL); entries above 1e-12
-are nonzero in the pattern (PATTERN_TOL).  Sampled entries are O(1), so
-the thresholds sit well clear of rounding noise at these dimensions.
-
-numpy is imported inside the functions that use it, so importing forcekit
-(or running a search or a suite without certificates) does not load it.
+Every step is exact, on Python integers.  Entries are drawn from small
+integer ranges; the pattern check compares entries with 0; singular
+matrices solve for one diagonal entry through two determinants and are
+scaled by its cofactor to stay integer.  Bareiss's fraction-free
+elimination (Math. Comp. 1968), whose every division is exact, gives the
+determinants and each matrix's rank, and back substitution its kernel
+basis: the reduced row echelon form's basis vectors, scaled to integers,
+as fraction-free Gauss-Jordan elimination (Nakos, Turner & Williams,
+SIGSAM Bulletin 1997) gives them.  So A x = 0 holds exactly, and a zero
+coordinate is exactly zero.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from functools import cached_property
+from itertools import chain
+from math import gcd
 
 from .forcing import Rule, is_failed_set
 from .formulas import table51_value
 from .graphs import FamilySpec, Graph
 from .theorems import TheoremReport
 
-if TYPE_CHECKING:
-    import numpy as np
-
-KERNEL_TOL = 1e-9
-SUPPORT_TOL = 1e-7
-PATTERN_TOL = 1e-12
-_PIVOT_TOL = 1e-10
-
 RANK_BOUND = "Table 5.1 rank bound"
+_EDGE_VALUES = (-3, -2, -1, 1, 2, 3)
 
 
 class PatternMismatchError(ValueError):
@@ -47,167 +44,170 @@ class PatternMismatchError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PatternMatrix:
-    """A dense symmetric matrix together with the graph it realizes.
+    """A symmetric integer matrix together with the graph it realizes.
 
-    ``entries`` is stored as a read-only view, so the pattern validated on
-    construction and the SVD kept on first use stay true of it."""
+    ``entries`` is kept as a tuple of integer rows, so the pattern checked
+    on construction and the kernel kept on first use stay true of it."""
 
     graph: Graph
-    entries: np.ndarray
+    entries: tuple[tuple[int, ...], ...]
     psd: bool = False
 
     def __post_init__(self):
-        import numpy as np
-        a = self.entries
+        a = tuple(map(tuple, self.entries))
         n = self.graph.n
-        if a.shape != (n, n):
-            raise PatternMismatchError(f"matrix shape {a.shape} for n={n}")
-        if not np.array_equal(a, a.T):
+        if len(a) != n or any(len(row) != n for row in a):
+            raise PatternMismatchError(f"matrix is not {n} x {n}")
+        # floor division by a float or a numpy scalar is not exact
+        if not set(map(type, chain.from_iterable(a))) <= {int}:
+            raise PatternMismatchError("matrix entries are not all Python ints")
+        if tuple(zip(*a)) != a:
             raise PatternMismatchError("matrix is not symmetric")
-        edge = _edge_data(self.graph)[1]
-        nonzero = np.abs(a) > PATTERN_TOL
-        np.fill_diagonal(nonzero, False)
-        if not np.array_equal(nonzero, edge):
-            i, j = np.argwhere(np.triu(edge != nonzero, 1))[0]
-            raise PatternMismatchError(
-                f"entry ({i},{j}) {'zero' if edge[i, j] else 'nonzero'} "
-                "contradicts the graph pattern")
-        view = a.view()
-        view.flags.writeable = False
-        object.__setattr__(self, "entries", view)
+        for i, row in enumerate(a):
+            nonzero = sum(1 << j for j, x in enumerate(row) if x and j != i)
+            wrong = nonzero ^ self.graph.adj[i]
+            if wrong:
+                # the first wrong entry in row-major order: by symmetry,
+                # none lies left of the diagonal in the first wrong row
+                j = (wrong & -wrong).bit_length() - 1
+                raise PatternMismatchError(
+                    f"entry ({i},{j}) {'nonzero' if nonzero >> j & 1 else 'zero'} "
+                    "contradicts the graph pattern")
+        object.__setattr__(self, "entries", a)
 
     @cached_property
-    def _kernel_directions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Right singular vectors (rows), and which of them span the
-        numerical kernel: singular value below KERNEL_TOL times the largest
-        one.  The zero matrix's kernel is the standard basis.  Computed on
-        first use, so a matrix's kernel and rank read one SVD."""
-        import numpy as np
-        _, sigma, vt = np.linalg.svd(self.entries)
-        if sigma[0] <= 0.0:
-            return np.eye(self.graph.n), np.ones(self.graph.n, dtype=bool)
-        return vt, sigma < KERNEL_TOL * sigma[0]
+    def _kernel(self) -> tuple[tuple[int, ...], ...]:
+        """Integer kernel basis, one vector x per non-pivot column f of
+        the row echelon form: the reduced row echelon form's basis vector
+        for f, scaled to the least integer vector with x_f > 0.  So x is 0
+        at every other non-pivot column.  Back substitution from x_f = |d|,
+        d the last pivot, divides exactly.  Computed on first use, so a
+        matrix's kernel and rank read one elimination."""
+        rows, pivots, d = _echelon(self.entries)
+        n = self.graph.n
+        basis = []
+        for f in sorted(set(range(n)) - set(pivots)):
+            x = [0] * n
+            x[f] = abs(d)
+            for row, c in zip(reversed(rows), reversed(pivots)):
+                x[c] = -sum(map(int.__mul__, row[c + 1:], x[c + 1:])) // row[c]
+            g = gcd(*x)
+            basis.append(tuple(v // g for v in x))
+        return tuple(basis)
 
 
-@lru_cache(maxsize=128)
-def _edge_data(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """g's edges as a 2 x m array of rows and columns (i < j, row-major
-    order), and its n x n boolean adjacency pattern (diagonal false); both
-    read-only.  Kept per graph, as every matrix of a graph reads them; 128
-    graphs hold the linalg suite's 100 instances from one run to the next."""
-    import numpy as np
-    positions = np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
-    rows, cols = positions
-    pattern = np.zeros((g.n, g.n), dtype=bool)
-    pattern[rows, cols] = pattern[cols, rows] = True
-    positions.flags.writeable = pattern.flags.writeable = False
-    return positions, pattern
+def _echelon(a) -> tuple[list[list[int]], list[int], int]:
+    """Bareiss's fraction-free elimination of an integer matrix to row
+    echelon form: its nonzero rows, each row's pivot column, and d, the
+    last pivot times the sign of the row swaps (1 if there is no pivot).
+    Each division is exact, as every entry stays a minor of a, and d is
+    the determinant of a square matrix of full rank.  Only the entries
+    right of each row's pivot are kept up to date; the rest are not read."""
+    rows = [list(row) for row in a]
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p], sign = rows[p], rows[r], -sign
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            rows[i][c + 1:] = [(top[c] * x - f * y) // prev
+                               for x, y in zip(rows[i][c + 1:], top[c + 1:])]
+        pivots.append(c)
+        prev = top[c]
+    return rows[:len(pivots)], pivots, sign * prev
 
 
-def _sampled_entries(g: Graph, rng: np.random.Generator) -> np.ndarray:
-    """Entries of a random symmetric matrix fitting g: edge entries uniform
-    over [-2,-0.5] u [0.5,2], free diagonal uniform over [-2,2]."""
-    import numpy as np
-    rows, cols = _edge_data(g)[0]
-    # A magnitude and then a sign per edge, in row-major order.  The sign is
-    # the draw rng.choice((-1.0, 1.0)) makes, without its per-call setup.
-    values = [rng.uniform(0.5, 2.0) * (-1.0, 1.0)[rng.integers(2)] for _ in rows]
-    a = np.zeros((g.n, g.n))
-    a[rows, cols] = a[cols, rows] = values
-    a[np.diag_indices(g.n)] = rng.uniform(-2.0, 2.0, size=g.n)
+def _det(a) -> int:
+    """Determinant of a square integer matrix."""
+    rows, pivots, d = _echelon(a)
+    return d if len(pivots) == len(a) else 0
+
+
+def _rng(seed) -> random.Random:
+    """The generator of one matrix; seed is an int or a list of ints."""
+    return random.Random(str(seed))
+
+
+def _draw(g: Graph, rng: random.Random) -> list[list[int]]:
+    """Entries of a random symmetric matrix fitting g: each edge entry from
+    +-{1, 2, 3}, in row-major order, then the diagonal from -3..3."""
+    a = [[0] * g.n for _ in range(g.n)]
+    for i, j in g.edges():
+        a[i][j] = a[j][i] = rng.choice(_EDGE_VALUES)
+    for i in range(g.n):
+        a[i][i] = rng.randint(-3, 3)
     return a
 
 
 def sample_pattern_matrix(g: Graph, seed) -> PatternMatrix:
-    """Random symmetric matrix fitting g, as drawn by ``_sampled_entries``."""
-    import numpy as np
-    return PatternMatrix(g, _sampled_entries(g, np.random.default_rng(seed)))
+    """Random integer matrix fitting g, as drawn by ``_draw``."""
+    return PatternMatrix(g, _draw(g, _rng(seed)))
 
 
 def shifted_singular_matrix(g: Graph, seed) -> PatternMatrix:
-    """Sampled pattern matrix shifted by one of its own eigenvalues.
+    """A drawn pattern matrix with one diagonal entry solved for, so that
+    its determinant is 0.
 
-    Subtracting lambda * I only moves the diagonal, so the result still fits
-    g while having nullity >= 1; the chosen eigenvalue index is part of the
-    seed stream.  Only the shifted matrix is validated.
+    det A is affine in a diagonal entry a_kk: det A0 + a_kk * C, where A0
+    has a_kk = 0 and C is the cofactor of a_kk.  So a_kk = -det A0 / C
+    makes A singular, and scaling the matrix by C keeps it integer and
+    fitting g.  Both the entries and k are drawn again while C is 0.
     """
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    base = _sampled_entries(g, rng)
-    eigenvalues = np.linalg.eigvalsh(base)
-    lam = eigenvalues[int(rng.integers(g.n))]
-    return PatternMatrix(g, base - lam * np.eye(g.n))
+    rng = _rng(seed)
+    while True:
+        a = _draw(g, rng)
+        k = rng.randrange(g.n)
+        a[k][k] = 0
+        cofactor = _det([row[:k] + row[k + 1:] for i, row in enumerate(a) if i != k])
+        if cofactor:
+            break
+    shift = _det(a)
+    a = [[cofactor * x for x in row] for row in a]
+    a[k][k] = -shift
+    return PatternMatrix(g, a)
 
 
 def weighted_laplacian(g: Graph, seed) -> PatternMatrix:
-    """Laplacian D - W with edge weights uniform over [0.5, 2]: positive
-    semidefinite by construction, pattern g, nullity = component count."""
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    rows, cols = _edge_data(g)[0]
-    w = np.zeros((g.n, g.n))
-    w[rows, cols] = w[cols, rows] = rng.uniform(0.5, 2.0, size=len(rows))
-    return PatternMatrix(g, np.diag(w.sum(1)) - w, psd=True)
+    """Laplacian D - W with integer edge weights 1..3: positive
+    semidefinite, pattern g, nullity = component count."""
+    rng = _rng(seed)
+    a = [[0] * g.n for _ in range(g.n)]
+    for i, j in g.edges():
+        w = rng.randint(1, 3)
+        a[i][j] = a[j][i] = -w
+        a[i][i] += w
+        a[j][j] += w
+    return PatternMatrix(g, a, psd=True)
 
 
-def kernel_basis(matrix: PatternMatrix) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical kernel."""
-    vt, kernel = matrix._kernel_directions
-    return list(vt[kernel])
+def kernel_basis(matrix: PatternMatrix) -> list[tuple[int, ...]]:
+    """Exact integer basis of the kernel, read off the reduced row echelon
+    form (see ``PatternMatrix._kernel``)."""
+    return list(matrix._kernel)
 
 
-def numerical_rank(matrix: PatternMatrix) -> int:
-    import numpy as np
-    return int(np.count_nonzero(~matrix._kernel_directions[1]))
+def matrix_rank(matrix: PatternMatrix) -> int:
+    """Exact rank: n minus the kernel dimension."""
+    return matrix.graph.n - len(matrix._kernel)
 
 
-def support_zero_sets(vectors: np.ndarray) -> list[int]:
-    """Per row of a 2-D array, the bitmask of its coordinates that vanish
-    relative to that row's largest one."""
-    import numpy as np
-    magnitudes = np.abs(vectors)
-    peaks = magnitudes.max(axis=1)
-    if not peaks.all():
-        raise ValueError("zero vector has no support")
-    zero = magnitudes <= SUPPORT_TOL * peaks[:, None]
-    return (zero @ (1 << np.arange(vectors.shape[1]))).tolist()
-
-
-def _sparsify(basis: np.ndarray) -> np.ndarray:
-    """Row-reduce the basis rows to kernel vectors of small support (for
-    block-diagonal matrices this recovers per-component vectors)."""
-    import numpy as np
-    rows = np.array(basis, dtype=float)
-    m, n = rows.shape
-    r = 0
-    for c in range(n):
-        pivot = r + int(np.argmax(np.abs(rows[r:, c])))
-        if abs(rows[pivot, c]) < _PIVOT_TOL:
-            continue
-        rows[[r, pivot]] = rows[[pivot, r]]
-        rows[r] /= rows[r, c]
-        for i in range(m):
-            if i != r and abs(rows[i, c]) > _PIVOT_TOL:
-                rows[i] -= rows[i, c] * rows[r]
-        r += 1
-        if r == m:
-            break
-    return rows[:r]
-
-
-def support_implies_failed(matrix: PatternMatrix, rule: Rule,
-                           trials: int = 20, seed=0) -> TheoremReport:
-    """Certificate check: for kernel vectors x of the matrix, the zero set
-    { i : |x_i| <= tol * max|x| } must be failed in the matrix's graph
-    under the rule.
+def support_implies_failed(matrix: PatternMatrix, rule: Rule) -> TheoremReport:
+    """Certificate check: for each kernel basis vector x of the matrix, the
+    zero set { i : x_i = 0 } must be failed in the matrix's graph under the
+    rule.
 
     Checking the full zero set suffices: subsets of failed sets are failed.
-    Tested vectors are the kernel basis, its row-reduced sparsification, and
-    ``trials`` random unit combinations; each distinct zero set among them
-    is checked once, in vector order.  Matrices checked under the PSD rule
-    must carry the psd flag.
+    A generic combination of the basis vanishes only where all of them do,
+    inside each basis vector's zero set, so it would add no check.  The
+    basis vectors' zero sets are distinct: each vector alone is nonzero at
+    its own non-pivot column.  Matrices checked under the PSD rule must
+    carry the psd flag.
     """
-    import numpy as np
     g = matrix.graph
     if rule is Rule.PSD and not matrix.psd:
         raise PatternMismatchError("PSD-rule certificates need a PSD matrix")
@@ -216,34 +216,21 @@ def support_implies_failed(matrix: PatternMatrix, rule: Rule,
     name = f"n={g.n} kernel dim {len(basis)}"
     if not basis:
         return TheoremReport(theorem, name, "all failed", "trivial kernel", True)
-    basis = np.array(basis)
-    combinations = []
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        coeffs = rng.normal(size=len(basis))
-        norm = np.linalg.norm(coeffs)
-        if norm < 1e-12:
-            continue
-        combinations.append((coeffs / norm) @ basis)
-    vectors = np.vstack([basis, _sparsify(basis), *combinations])
-    checked = set()
-    for zero_set in support_zero_sets(vectors):
-        if zero_set in checked:
-            continue
-        checked.add(zero_set)
+    for x in basis:
+        zero_set = sum(1 << i for i, v in enumerate(x) if v == 0)
         if not is_failed_set(g, zero_set, rule):
             return TheoremReport(theorem, name, "all failed",
                                  f"zero set {zero_set:#x} of a kernel vector forces",
                                  False)
     return TheoremReport(theorem, name, "all failed",
-                         f"{len(vectors)} vectors failed", True)
+                         "every zero set failed", True)
 
 
 def rank_lower_bound_check(spec: FamilySpec, matrix: PatternMatrix) -> TheoremReport:
     """Every matrix fitting the pattern has rank >= the tabulated minimum
     rank of the family (and >= the PSD minimum rank when the matrix is
     positive semidefinite)."""
-    rank = numerical_rank(matrix)
+    rank = matrix_rank(matrix)
     bound = table51_value(spec, "mrplus" if matrix.psd else "mr")
     label = "mr+" if matrix.psd else "mr"
     return TheoremReport(RANK_BOUND, spec.label(),

@@ -1,5 +1,5 @@
 """Verification suites: table reproduction, characterization checks,
-exhaustive small-graph scans, disconnected composition, and numerical
+exhaustive small-graph scans, disconnected composition, and exact
 kernel-support trials.
 
 Every suite returns a JSON-ready dict whose content depends only on its
@@ -383,7 +383,7 @@ def run_disconnected(seed: int = 0, trials: int = 200) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Numerical suite
+# Kernel certificate suite
 # ---------------------------------------------------------------------------
 
 _LINALG_UNIONS = ("cycle:3+path:2", "path:3+path:4", "complete:3+empty:2")
@@ -392,10 +392,7 @@ _LINALG_UNIONS = ("cycle:3+path:2", "path:3+path:4", "complete:3+empty:2")
 def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
     """Kernel-support certificates and rank lower bounds on every family
     instance of order <= max_n, plus the few disjoint unions of order
-    <= max_n whose Laplacian kernels have dimension > 1.  The seed must be
-    >= 0, as numpy's seed sequences need."""
-    if seed < 0:
-        raise SuiteUsageError(f"linalg takes a --seed >= 0, got {seed}")
+    <= max_n whose Laplacian kernels have dimension > 1."""
     result = _new_result("linalg", seed=seed, trials=trials, max_n=max_n)
     specs = default_family_specs(max_n)
     unions = (parse_family(text) for text in _LINALG_UNIONS)
@@ -416,10 +413,8 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
                 singular = shifted_singular_matrix(g, [seed, idx, t, 1])
             laplacian = weighted_laplacian(g, [seed, idx, t, 2])
             reports.append(support_implies_failed(
-                singular if t % 2 else sampled, Rule.STANDARD,
-                trials=3, seed=[seed, idx, t, 3]))
-            reports.append(support_implies_failed(
-                laplacian, Rule.PSD, trials=3, seed=[seed, idx, t, 4]))
+                singular if t % 2 else sampled, Rule.STANDARD))
+            reports.append(support_implies_failed(laplacian, Rule.PSD))
             if in_table:
                 reports.extend(rank_lower_bound_check(spec, matrix)
                                for matrix in (sampled, singular, laplacian))

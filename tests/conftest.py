@@ -300,5 +300,4 @@ def serialize_graph(g: Graph) -> str:
 
 def matrix_to_text(matrix: PatternMatrix) -> str:
     """Whitespace-separated dense text form, one row per line."""
-    return "\n".join(" ".join(f"{v:.17g}" for v in row)
-                     for row in matrix.entries) + "\n"
+    return "\n".join(" ".join(map(str, row)) for row in matrix.entries) + "\n"

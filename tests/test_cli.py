@@ -312,19 +312,12 @@ class TestVerify:
         assert unions == ({"cycle:3+path:2", "complete:3+empty:2"}
                           if max_n == 5 else set())
 
-    def test_linalg_refuses_a_negative_seed(self, capsys, monkeypatch):
-        # numpy seed sequences need seeds >= 0; random.Random, which the
-        # disconnected suite seeds, takes any integer
-        built = []
-        monkeypatch.setattr(suites, "build_family", built.append)
-        code, out, err = run_cli(capsys, "verify", "--suite", "linalg",
-                                 "--seed", "-1", "--json")
-        assert (code, out, built) == (2, "", [])
-        assert err == "error: linalg takes a --seed >= 0, got -1\n"
-        monkeypatch.undo()
-        code, out, _ = run_cli(capsys, "verify", "--suite", "disconnected",
-                               "--seed", "-1", "--json")
-        assert code == 0 and json.loads(out)["params"]["seed"] == -1
+    def test_linalg_takes_a_negative_seed(self, capsys):
+        # both seeded suites seed random.Random, which takes any integer
+        for suite, *flags in (("linalg", "--max-n", "4"), ("disconnected",)):
+            code, out, _ = run_cli(capsys, "verify", "--suite", suite,
+                                   "--seed", "-1", *flags, "--json")
+            assert code == 0 and json.loads(out)["params"]["seed"] == -1
 
     def test_reports_known_discrepancies(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "table51",
