@@ -52,8 +52,9 @@ class Graph:
 
     Invariants enforced on construction: no loops, symmetric adjacency,
     no bits at or above ``n``, and 1 <= n <= 63.  Facts derived from the
-    adjacency (``full_mask``, ``twin_pairs``) are computed on first use and
-    kept for the graph's lifetime; they take no part in ==, hash or repr.
+    adjacency (``full_mask``, ``twin_pairs``, ``edge_pairs``) are computed
+    on first use and kept for the graph's lifetime; they take no part in
+    ==, hash or repr.
     """
 
     n: int
@@ -89,16 +90,18 @@ class Graph:
                      for u in range(self.n) for v in range(u + 1, self.n)
                      if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
 
+    @cached_property
+    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The edges, as ``edges()`` lists them."""
+        return tuple((u, v) for u in range(self.n)
+                     for v in bits(self.adj[u] >> (u + 1) << (u + 1)))
+
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
-        out = []
-        for u in range(self.n):
-            for v in bits(self.adj[u] >> (u + 1) << (u + 1)):
-                out.append((u, v))
-        return out
+        return list(self.edge_pairs)
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2

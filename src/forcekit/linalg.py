@@ -10,15 +10,16 @@ engine, plus a sanity bound: every pattern matrix has rank at least the
 family's tabulated minimum rank.
 
 Every step is exact, on Python integers.  Entries are drawn from small
-integer ranges; the pattern check compares entries with 0; singular
-matrices solve for one diagonal entry through two determinants and are
-scaled by its cofactor to stay integer.  Bareiss's fraction-free
-elimination (Math. Comp. 1968), whose every division is exact, gives the
-determinants and each matrix's rank, and back substitution its kernel
-basis: the reduced row echelon form's basis vectors, scaled to integers,
-as fraction-free Gauss-Jordan elimination (Nakos, Turner & Williams,
-SIGSAM Bulletin 1997) gives them.  So A x = 0 holds exactly, and a zero
-coordinate is exactly zero.
+integer ranges; the pattern check compares entries with 0.  Bareiss's
+fraction-free elimination (Math. Comp. 1968), whose every division is
+exact, gives each matrix's rank, and back substitution its kernel basis:
+the reduced row echelon form's basis vectors, scaled to integers, as
+fraction-free Gauss-Jordan elimination (Nakos, Turner & Williams, SIGSAM
+Bulletin 1997) gives them.  A singular matrix solves for one diagonal
+entry and is scaled by its cofactor to stay integer; one elimination of
+the cofactor block, with the solved entry's column beside it, gives the
+cofactor, the determinant it is solved from and the kernel vector.  So
+A x = 0 holds exactly, and a zero coordinate is exactly zero.
 """
 
 from __future__ import annotations
@@ -80,19 +81,18 @@ class PatternMatrix:
         """Integer kernel basis, one vector x per non-pivot column f of
         the row echelon form: the reduced row echelon form's basis vector
         for f, scaled to the least integer vector with x_f > 0.  So x is 0
-        at every other non-pivot column.  Back substitution from x_f = |d|,
-        d the last pivot, divides exactly.  Computed on first use, so a
-        matrix's kernel and rank read one elimination."""
+        at every other non-pivot column, and f is its last nonzero
+        coordinate.  Back substitution from x_f = |d|, d the last pivot,
+        divides exactly.  Computed on first use, so a matrix's kernel and
+        rank read one elimination; ``shifted_singular_matrix`` sets it
+        from the elimination that built the matrix."""
         rows, pivots, d = _echelon(self.entries)
         n = self.graph.n
         basis = []
         for f in sorted(set(range(n)) - set(pivots)):
             x = [0] * n
             x[f] = abs(d)
-            for row, c in zip(reversed(rows), reversed(pivots)):
-                x[c] = -sum(map(int.__mul__, row[c + 1:], x[c + 1:])) // row[c]
-            g = gcd(*x)
-            basis.append(tuple(v // g for v in x))
+            basis.append(_primitive(_back_substitute(rows, pivots, x)))
         return tuple(basis)
 
 
@@ -102,7 +102,8 @@ def _echelon(a) -> tuple[list[list[int]], list[int], int]:
     last pivot times the sign of the row swaps (1 if there is no pivot).
     Each division is exact, as every entry stays a minor of a, and d is
     the determinant of a square matrix of full rank.  Only the entries
-    right of each row's pivot are kept up to date; the rest are not read."""
+    right of each row's pivot are kept up to date; the rest are not read.
+    A row with 0 in the pivot column is only rescaled, by pivot / prev."""
     rows = [list(row) for row in a]
     pivots, sign, prev = [], 1, 1
     for c in range(len(rows[0]) if rows else 0):
@@ -112,20 +113,33 @@ def _echelon(a) -> tuple[list[list[int]], list[int], int]:
             continue
         if p != r:
             rows[r], rows[p], sign = rows[p], rows[r], -sign
-        top = rows[r]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            rows[i][c + 1:] = [(top[c] * x - f * y) // prev
-                               for x, y in zip(rows[i][c + 1:], top[c + 1:])]
+        pivot, tail = rows[r][c], rows[r][c + 1:]
+        for row in rows[r + 1:]:
+            f = row[c]
+            if f:
+                row[c + 1:] = [(pivot * x - f * y) // prev
+                               for x, y in zip(row[c + 1:], tail)]
+            elif pivot != prev:
+                row[c + 1:] = [pivot * x // prev for x in row[c + 1:]]
         pivots.append(c)
-        prev = top[c]
+        prev = pivot
     return rows[:len(pivots)], pivots, sign * prev
 
 
-def _det(a) -> int:
-    """Determinant of a square integer matrix."""
-    rows, pivots, d = _echelon(a)
-    return d if len(pivots) == len(a) else 0
+def _back_substitute(rows, pivots, x: list[int]) -> list[int]:
+    """Fill in x's pivot coordinates so that rows . x = 0, given its
+    others; each division is exact when the solution is integer."""
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        x[c] = -sum(map(int.__mul__, row[c + 1:], x[c + 1:])) // row[c]
+    return x
+
+
+def _primitive(x) -> tuple[int, ...]:
+    """The least integer multiple of a nonzero vector that is positive at
+    its last nonzero coordinate."""
+    last = next(v for v in reversed(x) if v)
+    g = gcd(*x) if last > 0 else -gcd(*x)
+    return tuple(v // g for v in x)
 
 
 def _rng(seed) -> random.Random:
@@ -137,7 +151,7 @@ def _draw(g: Graph, rng: random.Random) -> list[list[int]]:
     """Entries of a random symmetric matrix fitting g: each edge entry from
     +-{1, 2, 3}, in row-major order, then the diagonal from -3..3."""
     a = [[0] * g.n for _ in range(g.n)]
-    for i, j in g.edges():
+    for i, j in g.edge_pairs:
         a[i][j] = a[j][i] = rng.choice(_EDGE_VALUES)
     for i in range(g.n):
         a[i][i] = rng.randint(-3, 3)
@@ -157,19 +171,39 @@ def shifted_singular_matrix(g: Graph, seed) -> PatternMatrix:
     has a_kk = 0 and C is the cofactor of a_kk.  So a_kk = -det A0 / C
     makes A singular, and scaling the matrix by C keeps it integer and
     fitting g.  Both the entries and k are drawn again while C is 0.
+
+    One elimination gives C, det A0 and the kernel.  Let M be A0 without
+    row and column k, and b column k of A0 without row k.  Eliminating
+    [M | b] gives C = det M, and back substitution from the last
+    coordinate |C| gives y = (-sign(C) adj(M) b, |C|), so that
+    det A0 = -C b.M^-1.b = sign(C) (b . y_M).  Then A y = 0 with y's last
+    coordinate at k, and as M is nonsingular, y spans A's kernel.
     """
+    n = g.n
     rng = _rng(seed)
     while True:
         a = _draw(g, rng)
-        k = rng.randrange(g.n)
+        k = rng.randrange(n)
         a[k][k] = 0
-        cofactor = _det([row[:k] + row[k + 1:] for i, row in enumerate(a) if i != k])
-        if cofactor:
+        block = [row[:k] + row[k + 1:] + row[k:k + 1]
+                 for i, row in enumerate(a) if i != k]
+        rows, pivots, cofactor = _echelon(block)
+        if pivots == list(range(n - 1)):
             break
-    shift = _det(a)
+    y = _back_substitute(rows, pivots, [0] * (n - 1) + [abs(cofactor)])
+    shift = sum(map(int.__mul__, (row[-1] for row in block), y[:-1]))
+    if cofactor < 0:
+        shift = -shift
     a = [[cofactor * x for x in row] for row in a]
     a[k][k] = -shift
-    return PatternMatrix(g, a)
+    m = PatternMatrix(g, a)
+    x = y[:k] + y[-1:] + y[k:-1]
+    if any(sum(map(int.__mul__, row, x)) for row in m.entries):
+        raise ArithmeticError("the solved kernel vector is not in the kernel")
+    # x spans the kernel, so its least multiple positive at its last
+    # nonzero coordinate is the one RREF basis vector that _kernel finds
+    m.__dict__["_kernel"] = (_primitive(x),)
+    return m
 
 
 def weighted_laplacian(g: Graph, seed) -> PatternMatrix:
@@ -177,7 +211,7 @@ def weighted_laplacian(g: Graph, seed) -> PatternMatrix:
     semidefinite, pattern g, nullity = component count."""
     rng = _rng(seed)
     a = [[0] * g.n for _ in range(g.n)]
-    for i, j in g.edges():
+    for i, j in g.edge_pairs:
         w = rng.randint(1, 3)
         a[i][j] = a[j][i] = -w
         a[i][i] += w

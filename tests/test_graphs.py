@@ -84,12 +84,17 @@ class TestGraphInvariants:
     def test_edges_sorted(self):
         g = fam("cycle:4")
         assert g.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        # each call returns a new list of the kept tuple
+        g.edges().clear()
+        assert g.edge_pairs is g.edge_pairs == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert g.edges() == list(g.edge_pairs)
 
     def test_cached_facts_leave_identity_alone(self):
         fresh, used = fam("biclique:2,3"), fam("biclique:2,3")
         assert used.full_mask == 0b11111
         assert used.twin_pairs == ((0, 1, False), (2, 3, False),
                                    (2, 4, False), (3, 4, False))
+        assert len(used.edge_pairs) == 6
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
         back = pickle.loads(pickle.dumps(used))

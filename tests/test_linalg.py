@@ -181,16 +181,20 @@ class TestValidationCount:
         assert validations[0] == 63 * 2 * 3 + 37 * 2 * 2 == 526
 
     def test_linalg_suite_decomposes_each_matrix_once(self, monkeypatch):
-        # A matrix's kernel basis and rank read one elimination, apart
-        # from the two determinants of each draw of a singular matrix.
-        calls = {"_echelon": 0, "_det": 0}
+        # A matrix's kernel basis and rank read one elimination.  A
+        # singular matrix's is the elimination of its cofactor block, once
+        # per draw, so each draw whose cofactor is 0 adds one.
+        calls = {"_echelon": 0, "_draw": 0}
         for name in calls:
             def counting(*args, _name=name, _run=getattr(linalg, name)):
                 calls[_name] += 1
                 return _run(*args)
             monkeypatch.setattr(linalg, name, counting)
         run_linalg(0, trials=2, max_n=12)
-        assert calls["_echelon"] - calls["_det"] == 526
+        # 526 matrices, 200 of them Laplacians, which draw no entries
+        redraws = calls["_draw"] - (526 - 200)
+        assert redraws == 35
+        assert calls["_echelon"] == 526 + redraws
 
     @pytest.mark.parametrize("text,built", [
         # the standard certificate reads the sampled matrix on even trials
@@ -333,6 +337,48 @@ class TestExactKernelOracle:
                 assert rank < n
             if kind == "weighted_laplacian":
                 assert rank == n - len(connected_components(g))
+
+
+class TestCarriedKernel:
+    """shifted_singular_matrix keeps the kernel of the elimination that
+    built it; a fresh matrix of the same entries finds it on its own."""
+
+    @staticmethod
+    def carried_kernel(g, seed):
+        """The kernel the matrix carries, checked against a fresh one."""
+        m = shifted_singular_matrix(g, seed)
+        assert "_kernel" in vars(m)
+        fresh = PatternMatrix(g, m.entries)
+        assert "_kernel" not in vars(fresh)
+        assert kernel_basis(m) == kernel_basis(fresh)
+        assert len(kernel_basis(m)) == 1
+        return kernel_basis(m)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_suite_instance(self, seed):
+        specs = suites.default_family_specs(12)
+        specs += [parse_family(text) for text in suites._LINALG_UNIONS]
+        assert len(specs) == 100
+        for spec in specs:
+            self.carried_kernel(build_family(spec), seed)
+
+    @pytest.mark.parametrize("text", ["path:1", "empty:1"])
+    def test_one_vertex(self, text):
+        # the cofactor block [M | b] has no rows: C = 1, det A0 = 0
+        for seed in range(5):
+            assert self.carried_kernel(fam(text), seed) == [(1,)]
+
+    def test_redrawn_matrix(self, monkeypatch):
+        # the first draw of cycle:4 with seed 1 has cofactor 0
+        draws = [0]
+
+        def counting(*args, _draw=linalg._draw):
+            draws[0] += 1
+            return _draw(*args)
+
+        monkeypatch.setattr(linalg, "_draw", counting)
+        self.carried_kernel(fam("cycle:4"), 1)
+        assert draws == [2]
 
 
 class TestSupportImpliesFailed:
