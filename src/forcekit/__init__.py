@@ -9,7 +9,7 @@ orders), and verifies the kernel-support certificates exactly.
 """
 
 from .forcing import Rule, derived_set, is_failed_set, is_forcing_set, \
-    is_stalled
+    is_fort, is_stalled
 from .formulas import Prediction, UnsupportedFamilyError, \
     compose_disconnected, predicted_failed, predicted_table51
 from .graphs import FamilyError, FamilySpec, Graph, GraphFormatError, \
@@ -20,14 +20,14 @@ from .linalg import PatternMatrix, kernel_basis, rank_lower_bound_check, \
     sample_pattern_matrix, shifted_singular_matrix, support_implies_failed, \
     weighted_laplacian
 from .search import ExtremalResult, SearchBudgetExceeded, \
-    brute_failed_number, failed_number, is_fort, min_fort, \
-    zero_forcing_number
+    brute_failed_number, failed_number, min_fort, zero_forcing_number
 from .theorems import TheoremReport
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rule", "derived_set", "is_failed_set", "is_forcing_set", "is_stalled",
+    "Rule", "derived_set", "is_failed_set", "is_forcing_set", "is_fort",
+    "is_stalled",
     "Prediction", "UnsupportedFamilyError", "compose_disconnected",
     "predicted_failed", "predicted_table51",
     "FamilyError", "FamilySpec", "Graph", "GraphFormatError", "VertexSet",
@@ -38,6 +38,6 @@ __all__ = [
     "sample_pattern_matrix", "shifted_singular_matrix",
     "support_implies_failed", "weighted_laplacian",
     "ExtremalResult", "SearchBudgetExceeded", "brute_failed_number",
-    "failed_number", "is_fort", "min_fort", "zero_forcing_number",
+    "failed_number", "min_fort", "zero_forcing_number",
     "TheoremReport",
 ]

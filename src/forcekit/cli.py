@@ -222,7 +222,7 @@ def _table(args) -> int:
     for row in FAILED[rule].table:
         checks = [failed_number_check(spec, rule)
                   for spec in instances if row.covers(spec)]
-        misses = [f"{c['graph']}={c['observed']}" for c in checks if not c["pass"]]
+        misses = [f"{c.graph}={c.observed}" for c in checks if not c.passed]
         status = (f"MISMATCH {','.join(misses)}" if misses
                   else f"ok ({len(checks)}/{len(checks)} instances)")
         print(f"{row.label:<18} {row.formula:<18} {row.equality:<14} {status}")

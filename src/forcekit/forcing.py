@@ -4,6 +4,10 @@ The derived set is reached in synchronous rounds: each round colors every
 white vertex that some blue vertex forces against the coloring at its
 start.  Both rules are monotone, so the final coloring is the same in
 whatever order the forces are applied.
+
+A fort is a nonempty white set that admits no force, the complement of a
+stalled set; ``is_fort`` is the one predicate, and ``is_stalled`` asks it
+about the complement.
 """
 
 from __future__ import annotations
@@ -88,6 +92,16 @@ def can_force_into(g: Graph, white: VertexSet, rule: Rule) -> bool:
     return bool(_forced(g, g.full_mask & ~white, rule, True))
 
 
+def is_fort(g: Graph, w: VertexSet, rule: Rule) -> bool:
+    """A nonempty w is a fort when its complement is stalled.
+
+    Standard rule: every outside vertex has 0 or >= 2 neighbors in w.
+    PSD rule: the same holds within each connected component of G[w].
+    """
+    _check_subset(g, w)
+    return w != 0 and not can_force_into(g, w, rule)
+
+
 def derived_set(g: Graph, blue: VertexSet, rule: Rule) -> VertexSet:
     """The final coloring reached from blue (the hot path of the searches)."""
     _check_subset(g, blue)
@@ -111,4 +125,4 @@ def is_stalled(g: Graph, s: VertexSet, rule: Rule) -> bool:
     subsets only).
     """
     _check_subset(g, s)
-    return s != g.full_mask and not can_force_into(g, g.full_mask & ~s, rule)
+    return is_fort(g, g.full_mask & ~s, rule)

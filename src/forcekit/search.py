@@ -4,8 +4,10 @@ Minimum forcing sets come from a depth-first branch-and-bound over subsets
 pruned by closures.  Maximum failed sets come from minimum-fort search: a
 fort is a nonempty vertex set W whose complement is stalled, so the failed
 number is n - |minimum fort|, found by a depth-first search that prunes
-with necessary conditions of the fort definition.  The descending scan of
-failed sets survives as ``brute_failed_number``, the independent oracle.
+with necessary conditions of the fort definition.  The fort predicate
+itself, ``is_fort``, lives in ``forcing`` beside ``can_force_into``.  The
+descending scan of failed sets survives as ``brute_failed_number``, the
+independent oracle.
 
 Both searches skip relabelings of twins.  Two vertices u < v are twins when
 N(u) - v == N(v) - u; swapping them is an automorphism, so the forcing sets
@@ -46,8 +48,8 @@ class _Budget:
         self.what = what
         self.progress = progress
 
-    def spend(self, units: int = 1) -> None:
-        self.left -= units
+    def spend(self) -> None:
+        self.left -= 1
         if self.left < 0:
             raise SearchBudgetExceeded(
                 f"{self.what}: candidate budget exhausted{self.progress} "
@@ -124,17 +126,6 @@ def zero_forcing_number(g: Graph, rule: Rule,
     return ExtremalResult(best, witness, "subset-search")
 
 
-def is_fort(g: Graph, w: VertexSet, rule: Rule) -> bool:
-    """A nonempty w is a fort when its complement is stalled.
-
-    Standard rule: every outside vertex has 0 or >= 2 neighbors in w.
-    PSD rule: the same holds within each connected component of G[w].
-    """
-    if not w or w & ~g.full_mask:
-        return False
-    return not can_force_into(g, w, rule)
-
-
 def _must_include(g: Graph, chosen: VertexSet, must: VertexSet,
                   outside: VertexSet, later: VertexSet,
                   psd: bool) -> VertexSet | None:
@@ -195,10 +186,11 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
     an inner node is pruned only when ``_must_include`` shows that no fort
     extends it, and the next choice never skips a vertex W must contain.
     A vertex is chosen only after its previous twin (see the module
-    docstring).  Leaves are tested with ``can_force_into``.  Every node,
-    and every leaf tested, spends one unit of budget.  A fort always
-    exists: the full vertex set is one (its complement is the stalled empty
-    coloring).
+    docstring).  One child loop serves every node: a child with vertices
+    still to choose is a ``grow`` call, and a leaf is tested in the loop
+    with ``can_force_into``.  Every node, and every leaf tested, spends one
+    unit of budget.  A fort always exists: the full vertex set is one (its
+    complement is the stalled empty coloring).
     """
     tracker = _Budget(budget, "min_fort")
     n = g.n
@@ -227,28 +219,19 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
                 if need == left:
                     nxt = first
                 last = min(last, first)
-        if left == 1:
-            # The leaves, one node each, charged after the loop: a search
-            # still raises exactly when it visits more nodes than allowed.
-            tested = 0
-            for v in range(nxt, last + 1):
-                if prev[v] & ~chosen:
-                    continue
-                tested += 1
-                w = chosen | 1 << v
-                if not can_force_into(g, w, rule):
-                    tracker.spend(tested)
-                    return w
-            tracker.spend(tested)
-            return None
         for v in range(nxt, last + 1):
             if prev[v] & ~chosen:
                 continue
             bit = 1 << v
-            found = grow(chosen | bit, must & ~bit, v + 1, left - 1,
-                         reach | adj[v])
-            if found is not None:
-                return found
+            if left > 1:
+                found = grow(chosen | bit, must & ~bit, v + 1, left - 1,
+                             reach | adj[v])
+                if found is not None:
+                    return found
+            else:  # a leaf: one unit; a grow call per leaf was slower
+                tracker.spend()
+                if not can_force_into(g, chosen | bit, rule):
+                    return chosen | bit
         return None
 
     for k in range(1, n + 1):

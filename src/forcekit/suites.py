@@ -45,6 +45,7 @@ from .search import (
     zero_forcing_number,
 )
 from .theorems import (
+    TheoremReport,
     check_F_vs_Z,
     check_Fplus_lt_Zplus_cases,
     check_isolated_characterizations,
@@ -102,20 +103,24 @@ def _new_result(suite: str, **params) -> dict:
             "passed": 0, "failed": 0, "known_discrepancies": 0}
 
 
-def _record(result: dict, check: dict, known_discrepancy: bool = False) -> None:
+def _record(result: dict, report: TheoremReport,
+            known_discrepancy: bool = False, **fields) -> None:
+    """Count report; one that fails is kept in the checks, as its JSON
+    entry plus fields."""
     tally = result["by_theorem"].setdefault(
-        check["theorem"], {"passed": 0, "failed": 0})
-    if check["pass"]:
+        report.theorem, {"passed": 0, "failed": 0})
+    if report.passed:
         result["passed"] += 1
         tally["passed"] += 1
-    elif known_discrepancy:
+        return
+    check = report.as_dict() | fields
+    if known_discrepancy:
         result["known_discrepancies"] += 1
         check["known_discrepancy"] = True
-        result["checks"].append(check)
     else:
         result["failed"] += 1
         tally["failed"] += 1
-        result["checks"].append(check)
+    result["checks"].append(check)
 
 
 def _finish(result: dict) -> dict:
@@ -129,15 +134,15 @@ def _finish(result: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def failed_number_check(spec: FamilySpec, rule: Rule,
-                        budget: int | None = None) -> dict:
+                        budget: int | None = None) -> TheoremReport:
     """The computed failed number of a family instance against its closed
     form: equal to an exact form, at least a lower bound."""
     pred = predicted_failed(spec, rule)
     got = failed_number(build_family(spec), rule, budget).value
     exact = pred.exactness == EXACT
-    return {"graph": spec.label(), "theorem": pred.source,
-            "expected": f"{'=' if exact else '>='} {pred.value}", "observed": got,
-            "pass": got == pred.value if exact else got >= pred.value}
+    return TheoremReport(pred.source, spec.label(),
+                         f"{'=' if exact else '>='} {pred.value}", got,
+                         got == pred.value if exact else got >= pred.value)
 
 
 def _run_failed_table(suite: str, rule: Rule, max_n: int | None,
@@ -167,11 +172,9 @@ def run_table51(max_n: int | None = None, budget: int | None = None) -> dict:
         for parameter, rule, want in (("Z", Rule.STANDARD, z),
                                       ("Zplus", Rule.PSD, zplus)):
             got = zero_forcing_number(g, rule, budget).value
-            _record(result, {
-                "graph": spec.label(), "theorem": "Table 5.1",
-                "parameter": parameter, "expected": want, "observed": got,
-                "pass": got == want,
-            }, known_discrepancy=parameter in row.known_discrepancies)
+            _record(result,
+                    TheoremReport.compare("Table 5.1", spec.label(), want, got),
+                    parameter in row.known_discrepancies, parameter=parameter)
     return _finish(result)
 
 
@@ -206,7 +209,7 @@ def run_characterizations(max_n: int | None = None,
             known = table51_lookup(spec)[0].known_discrepancies
         reports += check_Fplus_lt_Zplus_cases(spec, fp, zp)
         for rep in reports:
-            _record(result, rep.as_dict(), rep.theorem in known)
+            _record(result, rep, rep.theorem in known)
     return _finish(result)
 
 
@@ -309,11 +312,9 @@ def run_exhaustive(max_n: int = 6, jobs: int = 1) -> dict:
                     violations.append(rep.as_dict())
     violations.sort(key=lambda v: (v["graph"], v["theorem"]))
     for theorem, (checked, violated) in totals.items():
-        _record(result, {
-            "graph": f"all graphs n<={max_n}", "theorem": theorem,
-            "expected": f"0 violations in {checked}",
-            "observed": f"{violated} violations", "pass": violated == 0,
-        })
+        _record(result, TheoremReport(
+            theorem, f"all graphs n<={max_n}", f"0 violations in {checked}",
+            f"{violated} violations", violated == 0))
     result["graphs_checked"] = graphs_checked
     result["violation_samples"] = violations[:25]
     return _finish(result)
@@ -359,12 +360,9 @@ def run_disconnected(seed: int = 0, trials: int = 200) -> dict:
             per_part = [(p.n, failed_number(p, rule).value) for p in parts]
             composed = compose_disconnected(per_part)
             direct = failed_number(g, rule).value
-            _record(result, {
-                "graph": f"union#{built} sizes={sizes}",
-                "theorem": FAILED[rule].union_source,
-                "expected": composed, "observed": direct,
-                "pass": composed == direct,
-            })
+            _record(result, TheoremReport.compare(
+                FAILED[rule].union_source, f"union#{built} sizes={sizes}",
+                composed, direct))
     # Prop 4.3: a path component P_k bounds F+ below by n - k, a cycle
     # component C_k by n - k + 1.
     for trial in range(20):
@@ -375,10 +373,9 @@ def run_disconnected(seed: int = 0, trials: int = 200) -> dict:
             g = disjoint_union(h, build_family(FamilySpec(kind, (k,))))
             fp = failed_number(g, Rule.PSD).value
             bound = g.n - k + slack
-            _record(result, {
-                "graph": label.format(trial, g.n, k), "theorem": "Prop 4.3",
-                "expected": f">= {bound}", "observed": fp, "pass": fp >= bound,
-            })
+            _record(result, TheoremReport(
+                "Prop 4.3", label.format(trial, g.n, k), f">= {bound}", fp,
+                fp >= bound))
     return _finish(result)
 
 
@@ -420,17 +417,13 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
                                for matrix in (sampled, singular, laplacian))
         rank_ok = sum(r.passed for r in reports if r.theorem == RANK_BOUND)
         support_ok = sum(r.passed for r in reports) - rank_ok
-        _record(result, {
-            "graph": spec.label(), "theorem": "Cor 2.10 / Prop 2.12",
-            "expected": f"{2 * trials} certificates pass",
-            "observed": f"{support_ok} passed", "pass": support_ok == 2 * trials,
-        })
+        _record(result, TheoremReport(
+            "Cor 2.10 / Prop 2.12", spec.label(), f"{2 * trials} certificates pass",
+            f"{support_ok} passed", support_ok == 2 * trials))
         if in_table:
-            _record(result, {
-                "graph": spec.label(), "theorem": RANK_BOUND,
-                "expected": f"{3 * trials} bounds hold",
-                "observed": f"{rank_ok} held", "pass": rank_ok == 3 * trials,
-            })
+            _record(result, TheoremReport(
+                RANK_BOUND, spec.label(), f"{3 * trials} bounds hold",
+                f"{rank_ok} held", rank_ok == 3 * trials))
         result["checks"].extend([r.as_dict() for r in reports if not r.passed][:5])
     return _finish(result)
 

@@ -30,6 +30,7 @@ from forcekit.suites import (
     default_family_specs,
     graph_from_edge_mask,
 )
+from forcekit.theorems import TheoremReport
 
 
 @st.composite
@@ -195,11 +196,8 @@ def run_oracle_equivalence(seed: int = 0, trials: int = 500,
         for rule in (Rule.STANDARD, Rule.PSD):
             fast = failed_number(g, rule).value
             brute = brute_failed_number(g, rule).value
-            _record(result, {
-                "graph": name, "theorem": "fort-vs-brute",
-                "rule": rule.value, "expected": brute, "observed": fast,
-                "pass": fast == brute,
-            })
+            _record(result, TheoremReport.compare(
+                "fort-vs-brute", name, brute, fast), rule=rule.value)
     return _finish(result)
 
 

@@ -141,13 +141,13 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_exhaustive_order_6(monkeypatch):
-    # every per-theorem check the suite records, passing ones included
+    # every per-theorem report the suite records, passing ones included
     recorded = []
     record = suites._record
 
-    def keep(result, check, known_discrepancy=False):
-        recorded.append(check)
-        record(result, check, known_discrepancy)
+    def keep(result, report, known_discrepancy=False, **fields):
+        recorded.append(report)
+        record(result, report, known_discrepancy, **fields)
 
     monkeypatch.setattr(suites, "_record", keep)
     start = time.perf_counter()
@@ -168,8 +168,8 @@ def test_criterion_4_exhaustive_order_6(monkeypatch):
     # checked and violated counts
     oracle = labeled_exhaustive(6)
     assert res["graphs_checked"] == oracle["graphs_checked"]
-    counts = {c["theorem"]: [int(c["expected"].split()[-1]),
-                             int(c["observed"].split()[0])] for c in recorded}
+    counts = {c.theorem: [int(c.expected.split()[-1]),
+                          int(c.observed.split()[0])] for c in recorded}
     assert counts == oracle["counts"]
 
 

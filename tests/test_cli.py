@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -362,6 +363,52 @@ class TestTable:
     def test_full_stdout_pinned(self, capsys, which, expected):
         code, out, err = run_cli(capsys, "table", "--which", which)
         assert (code, out, err) == (0, expected, "")
+
+
+# The keys of every check entry of verify --json.
+CHECK_KEYS = {"theorem", "graph", "expected", "observed", "pass"}
+
+
+@pytest.fixture
+def failed_off_by_one(monkeypatch):
+    """The suites see every failed number one too high."""
+    search = suites.failed_number
+
+    def wrong(g, rule, budget=None):
+        res = search(g, rule, budget)
+        return dataclasses.replace(res, value=res.value + 1)
+    monkeypatch.setattr(suites, "failed_number", wrong)
+
+
+class TestMismatch:
+    def test_table_names_the_failing_instances(self, capsys, failed_off_by_one):
+        code, out, _ = run_cli(capsys, "table", "--which", "1")
+        assert code == 0
+        rows = {line[:18].rstrip(): line[53:] for line in out.splitlines()[2:]}
+        # F(P_n) = (n - 1) // 2, reported one too high
+        assert rows["P_n"] == "MISMATCH " + ",".join(
+            f"path:{n}={(n - 1) // 2 + 1}" for n in range(1, 13))
+        assert rows["K_n, n>=2"].startswith("MISMATCH complete:2=1,complete:3=2,")
+        # a lower bound still holds one too high
+        assert rows["Q_n, n>=3"] == "ok (2/2 instances)"
+        assert sum(v.startswith("MISMATCH") for v in rows.values()) == 13
+
+    def test_failing_entries_have_the_check_keys(self, capsys, failed_off_by_one):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "table1",
+                               "--max-n", "8", "--json")
+        result = json.loads(out)
+        assert code == 1 and result["failed"] == len(result["checks"]) > 0
+        for check in result["checks"]:
+            assert set(check) == CHECK_KEYS and check["pass"] is False
+
+    def test_known_entries_add_parameter_and_flag(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "table51",
+                               "--max-n", "8", "--json")
+        result = json.loads(out)
+        assert code == 0 and result["known_discrepancies"] == len(result["checks"]) > 0
+        for check in result["checks"]:
+            assert set(check) == CHECK_KEYS | {"parameter", "known_discrepancy"}
+            assert check["known_discrepancy"] is True
 
 
 class TestOneParser:

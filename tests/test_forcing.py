@@ -9,6 +9,7 @@ from forcekit.forcing import (
     derived_set,
     is_failed_set,
     is_forcing_set,
+    is_fort,
     is_stalled,
 )
 from forcekit.graphs import build_family, parse_family
@@ -168,3 +169,28 @@ class TestStalled:
         g, sub = gs
         fixed = reference_closure(g, sub, rule) == sub
         assert is_stalled(g, sub, rule) == (fixed and sub != g.full_mask)
+
+
+class TestFort:
+    @pytest.mark.parametrize("rule", BOTH)
+    @pytest.mark.parametrize("bad", ["beyond", "negative"])
+    def test_mask_outside_the_graph_is_a_value_error(self, rule, bad):
+        # the same masks that is_stalled and derived_set refuse
+        g = fam("cycle:4")
+        w = 1 << g.n if bad == "beyond" else -1
+        with pytest.raises(ValueError, match="outside the graph"):
+            is_fort(g, w, rule)
+
+    def test_stalled_is_fort_of_the_complement(self):
+        # every subset of one graph from each isomorphism class of order
+        # <= 5, both rules
+        cases = 0
+        for n in range(1, 6):
+            for edges, _ in _edge_mask_classes(n):
+                g = graph_from_edge_mask(n, edges)
+                for s in range(g.full_mask + 1):
+                    for rule in BOTH:
+                        assert is_stalled(g, s, rule) == \
+                            is_fort(g, g.full_mask & ~s, rule), (n, edges, s)
+                        cases += 1
+        assert cases == 2 * (2 * 1 + 4 * 2 + 8 * 4 + 16 * 11 + 32 * 34)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forcekit.forcing import Rule, is_failed_set, is_forcing_set, is_stalled
+from forcekit.forcing import (
+    Rule,
+    is_failed_set,
+    is_forcing_set,
+    is_fort,
+    is_stalled,
+)
 from forcekit.formulas import EXACT, predicted_failed
 from forcekit.graphs import bits, build_family, parse_family
 from forcekit.search import (
@@ -15,7 +21,6 @@ from forcekit.search import (
     SearchBudgetExceeded,
     brute_failed_number,
     failed_number,
-    is_fort,
     min_fort,
     zero_forcing_number,
 )
