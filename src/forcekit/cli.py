@@ -20,9 +20,9 @@ import time
 from .forcing import Rule
 from .formulas import (
     FAILED,
-    UnsupportedFamilyError,
     predicted_failed,
     predicted_table51,
+    table51_lookup,
 )
 from .graphs import (
     FamilyError,
@@ -90,10 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _predictions_for(spec: FamilySpec) -> list[dict]:
     preds = [predicted_failed(spec, rule) for rule in Rule]
-    try:
+    if table51_lookup(spec) is not None:
         preds.extend(predicted_table51(spec))
-    except UnsupportedFamilyError:  # unions, level-filled trees, edgeless graphs
-        pass
     return [vars(p) for p in preds]
 
 

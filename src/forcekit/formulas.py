@@ -1,18 +1,19 @@
 """Closed-form parameter predictions for the named graph families.
 
 The paper's Tables 1 (F), 2 (F+) and 5.1 (M, Z, M+, Z+, with Thm 5.2's
-case of F+ < Z+) are coded once, as the rows of TABLE1, TABLE2 and TABLE51;
-the predictions, the theorem checks in ``theorems``, the suites and
-``forcekit table`` all read them, and ``predicted_failed`` reads Tables 1
-and 2 through one row per rule, ``FAILED``.  Every prediction carries the
-identifier of the published result it encodes (e.g. "Thm 3.6") and whether
-it is exact or only a lower bound.  The only lower bounds are the hypercube
-failed numbers for dimension >= 3 and the unions with such a member;
-everything else is exact on its family range.
+case of F+ < Z+) are coded once, as the rows of TABLE1, TABLE2 and TABLE51.
+``predicted_failed`` reads Tables 1 and 2 through one row per rule,
+``FAILED``; every other module reads Table 5.1 by field name, through
+``table51_lookup``.  Every prediction carries the identifier of the
+published result it encodes (e.g. "Thm 3.6") and whether it is exact or
+only a lower bound.  The only lower bounds are the hypercube failed numbers
+for dimension >= 3 and the unions with such a member; everything else is
+exact on its family range.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -51,13 +52,12 @@ def _table_params(spec: FamilySpec) -> tuple[str, tuple[int, ...]]:
 
 
 def _first_row(table: tuple, spec: FamilySpec):
-    """The first row of ``table`` that covers ``spec``, with the parameters
-    it reads."""
+    """The first row of ``table`` covering ``spec``, or None, and its parameters."""
     kind, params = _table_params(spec)
     for row in table:
         if row.kind == kind and row.when(*params):
             return row, params
-    raise UnsupportedFamilyError(f"{spec.label()} is in no row of the table")
+    return None, params
 
 
 def _entry(entry, params: tuple[int, ...]):
@@ -149,6 +149,8 @@ def table_lookup(table: tuple[TableRow, ...],
     """The first row of ``table`` that covers ``spec``, with its value and
     its ``meets_mr`` there."""
     row, params = _first_row(table, spec)
+    if row is None:
+        raise UnsupportedFamilyError(f"{spec.label()} is in no row of the table")
     return row, _entry(row.value, params), _entry(row.meets_mr, params)
 
 
@@ -168,8 +170,7 @@ class Table51Row:
     known_discrepancies: tuple[str, ...] = ()
 
 
-# K_{1,1} = P_2, H_1 = P_2 and H_2 = P_4 take the path values; the
-# tabulated formulas do not apply to them.
+# K_{1,1} = P_2, H_1 = P_2 and H_2 = P_4 take the path values, not the formulas.
 #
 # Known discrepancy: Table 5.1 gives Z = Z+ = s for the half-graph H_s, but
 # on the half-graph build_family generates (a and s+b adjacent iff a <= b,
@@ -177,6 +178,8 @@ class Table51Row:
 # least vertices of the second part force everything.  So Thm 5.2's case
 # "F+ < Z+ iff s <= 3" fails at s = 3 (F+ = Z+ = 2).  The suites report the
 # claims marked here as known discrepancies; every other claim must hold.
+# The tabulated M = M+ = s (so mr = mr+ = s), s >= 3, cannot hold either:
+# M <= Z and M+ <= Z+.  Unmarked, they let Thm 5.7 pass at H_3 and Thm 5.8 at H_4.
 TABLE51 = (
     Table51Row("path", lambda n: True, (1, 1, 1, 1), True),
     Table51Row("cycle", lambda n: True, (2, 2, 2, 2), True),
@@ -195,30 +198,30 @@ TABLE51 = (
                ("Z", "Zplus")),
 )
 
-_TABLE51_PARAMETERS = ("M", "Z", "Mplus", "Zplus", "mr", "mrplus")
+Table51 = namedtuple("Table51", "M Z Mplus Zplus mr mrplus fplus_lt_zplus "
+                     "known_discrepancies")
 
 
-def table51_lookup(spec: FamilySpec) -> tuple[Table51Row, tuple[int, ...], bool]:
-    """The Table 5.1 row of ``spec``, its values in the order of
-    _TABLE51_PARAMETERS (mr = n - M and mr+ = n - M+ by rank-nullity), and
-    its Thm 5.2 case."""
+def table51_lookup(spec: FamilySpec) -> Table51 | None:
+    """The Table 5.1 values of ``spec``, with mr = n - M and mr+ = n - M+ by
+    rank-nullity, its Thm 5.2 case and its row's known-discrepancy marks; or
+    None when no row covers it (unions, level-filled trees, edgeless graphs)."""
     row, params = _first_row(TABLE51, spec)
+    if row is None:
+        return None
     m, z, mplus, zplus = _entry(row.values, params)
-    order = spec.order()
-    return (row, (m, z, mplus, zplus, order - m, order - mplus),
-            _entry(row.fplus_lt_zplus, params))
+    n = spec.order()
+    return Table51(m, z, mplus, zplus, n - m, n - mplus,
+                   _entry(row.fplus_lt_zplus, params), row.known_discrepancies)
 
 
 def predicted_table51(spec: FamilySpec) -> list[Prediction]:
     """M, Z, M+ and Z+ from the instance's Table 5.1 row, plus mr and mr+."""
-    values = table51_lookup(spec)[1]
+    values = table51_lookup(spec)
+    if values is None:
+        raise UnsupportedFamilyError(f"{spec.label()} is in no row of Table 5.1")
     return [Prediction(parameter, value, EXACT, "Table 5.1")
-            for parameter, value in zip(_TABLE51_PARAMETERS, values)]
-
-
-def table51_value(spec: FamilySpec, parameter: str) -> int:
-    """One of M, Z, Mplus, Zplus, mr and mrplus from the Table 5.1 row."""
-    return table51_lookup(spec)[1][_TABLE51_PARAMETERS.index(parameter)]
+            for parameter, value in zip(values._fields, values[:6])]
 
 
 def compose_disconnected(components: list[tuple[int, int]]) -> int:

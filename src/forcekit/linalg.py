@@ -31,7 +31,7 @@ from itertools import chain
 from math import gcd
 
 from .forcing import Rule, is_failed_set
-from .formulas import table51_value
+from .formulas import UnsupportedFamilyError, table51_lookup
 from .graphs import FamilySpec, Graph
 from .theorems import TheoremReport
 
@@ -264,9 +264,11 @@ def rank_lower_bound_check(spec: FamilySpec, matrix: PatternMatrix) -> TheoremRe
     """Every matrix fitting the pattern has rank >= the tabulated minimum
     rank of the family (and >= the PSD minimum rank when the matrix is
     positive semidefinite)."""
+    table = table51_lookup(spec)
+    if table is None:
+        raise UnsupportedFamilyError(f"{spec.label()} is in no row of Table 5.1")
     rank = matrix_rank(matrix)
-    bound = table51_value(spec, "mrplus" if matrix.psd else "mr")
-    label = "mr+" if matrix.psd else "mr"
+    label, bound = ("mr+", table.mrplus) if matrix.psd else ("mr", table.mr)
     return TheoremReport(RANK_BOUND, spec.label(),
                          f"rank >= {label} = {bound}",
                          f"rank = {rank}", rank >= bound)

@@ -13,12 +13,12 @@ its row of Table 5.1 (``formulas.TABLE51``) marks the claim as one.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .forcing import Rule
 from .formulas import (
     EXACT,
     FAILED,
-    TABLE51,
     compose_disconnected,
     predicted_failed,
     table51_lookup,
@@ -54,9 +54,6 @@ from .theorems import (
     check_module_characterizations,
 )
 
-# The families that Table 5.1 tabulates Z, Z+, mr and mr+ for.
-_TABLE51_KINDS = tuple(dict.fromkeys(row.kind for row in TABLE51))
-
 # exhaustive6 counts the edges of each of the 2^(n(n-1)/2) labeled graphs
 # of order n in one bytearray and marks them in another: about 4.2 MB at
 # n = 7, 537 MB at n = 8.
@@ -81,8 +78,7 @@ _RANGES = {
 }
 
 
-def default_family_specs(max_n: int | None = None,
-                         kinds: tuple[str, ...] | None = None) -> list[FamilySpec]:
+def default_family_specs(max_n: int | None = None) -> list[FamilySpec]:
     """The default verification instances, optionally capped by order."""
     specs: list[FamilySpec] = []
     for kind, rng in _RANGES.items():
@@ -91,8 +87,6 @@ def default_family_specs(max_n: int | None = None,
                  for m in range(1, 6) for n in range(1, m + 1))
     specs.extend(FamilySpec("marytree", (m, n))
                  for m in (2, 3) for n in range(1, 14))
-    if kinds is not None:
-        specs = [s for s in specs if s.kind in kinds]
     if max_n is not None:
         specs = [s for s in specs if s.order() <= max_n]
     return specs
@@ -145,36 +139,28 @@ def failed_number_check(spec: FamilySpec, rule: Rule,
                          got == pred.value if exact else got >= pred.value)
 
 
-def _run_failed_table(suite: str, rule: Rule, max_n: int | None,
-                      budget: int | None) -> dict:
+def _run_failed_table(suite: str, rule: Rule, max_n: int | None = None,
+                      budget: int | None = None) -> dict:
     result = _new_result(suite, max_n=max_n)
     for spec in default_family_specs(max_n):
         _record(result, failed_number_check(spec, rule, budget))
     return _finish(result)
 
 
-def run_table1(max_n: int | None = None, budget: int | None = None) -> dict:
-    """Computed failed numbers against the closed forms, standard rule."""
-    return _run_failed_table("table1", Rule.STANDARD, max_n, budget)
-
-
-def run_table2(max_n: int | None = None, budget: int | None = None) -> dict:
-    """Computed failed numbers against the closed forms, PSD rule."""
-    return _run_failed_table("table2", Rule.PSD, max_n, budget)
-
-
 def run_table51(max_n: int | None = None, budget: int | None = None) -> dict:
     """Computed forcing numbers against the tabulated Z and Z+ columns."""
     result = _new_result("table51", max_n=max_n)
-    for spec in default_family_specs(max_n, _TABLE51_KINDS):
-        row, (_, z, _, zplus, _, _), _ = table51_lookup(spec)
+    for spec in default_family_specs(max_n):
+        table = table51_lookup(spec)
+        if table is None:
+            continue
         g = build_family(spec)
-        for parameter, rule, want in (("Z", Rule.STANDARD, z),
-                                      ("Zplus", Rule.PSD, zplus)):
+        for parameter, rule, want in (("Z", Rule.STANDARD, table.Z),
+                                      ("Zplus", Rule.PSD, table.Zplus)):
             got = zero_forcing_number(g, rule, budget).value
             _record(result,
                     TheoremReport.compare("Table 5.1", spec.label(), want, got),
-                    parameter in row.known_discrepancies, parameter=parameter)
+                    parameter in table.known_discrepancies, parameter=parameter)
     return _finish(result)
 
 
@@ -203,10 +189,11 @@ def run_characterizations(max_n: int | None = None,
     for spec in default_family_specs(max_n):
         (f, fp, _, zp), reports = _characterize(build_family(spec),
                                                 spec.label(), budget)
+        table = table51_lookup(spec)
         known = ()
-        if spec.kind in _TABLE51_KINDS:
+        if table is not None:
             reports += check_minrank_equalities(spec, f, fp)
-            known = table51_lookup(spec)[0].known_discrepancies
+            known = table.known_discrepancies
         reports += check_Fplus_lt_Zplus_cases(spec, fp, zp)
         for rep in reports:
             _record(result, rep, rep.theorem in known)
@@ -396,7 +383,7 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
     specs.extend(spec for spec in unions if spec.order() <= max_n)
     for idx, spec in enumerate(specs):
         g = build_family(spec)
-        in_table = spec.kind in _TABLE51_KINDS
+        in_table = table51_lookup(spec) is not None
         reports = []
         for t in range(trials):
             # Each matrix draws from its own seed, so one that no check
@@ -409,14 +396,14 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
             if in_table or t % 2:
                 singular = shifted_singular_matrix(g, [seed, idx, t, 1])
             laplacian = weighted_laplacian(g, [seed, idx, t, 2])
-            reports.append(support_implies_failed(
-                singular if t % 2 else sampled, Rule.STANDARD))
-            reports.append(support_implies_failed(laplacian, Rule.PSD))
+            reports.append((t, support_implies_failed(
+                singular if t % 2 else sampled, Rule.STANDARD)))
+            reports.append((t, support_implies_failed(laplacian, Rule.PSD)))
             if in_table:
-                reports.extend(rank_lower_bound_check(spec, matrix)
+                reports.extend((t, rank_lower_bound_check(spec, matrix))
                                for matrix in (sampled, singular, laplacian))
-        rank_ok = sum(r.passed for r in reports if r.theorem == RANK_BOUND)
-        support_ok = sum(r.passed for r in reports) - rank_ok
+        rank_ok = sum(r.passed for _, r in reports if r.theorem == RANK_BOUND)
+        support_ok = sum(r.passed for _, r in reports) - rank_ok
         _record(result, TheoremReport(
             "Cor 2.10 / Prop 2.12", spec.label(), f"{2 * trials} certificates pass",
             f"{support_ok} passed", support_ok == 2 * trials))
@@ -424,7 +411,9 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
             _record(result, TheoremReport(
                 RANK_BOUND, spec.label(), f"{3 * trials} bounds hold",
                 f"{rank_ok} held", rank_ok == 3 * trials))
-        result["checks"].extend([r.as_dict() for r in reports if not r.passed][:5])
+        result["checks"].extend(
+            [r.as_dict() | {"graph": f"{spec.label()} trial {t}: {r.graph}"}
+             for t, r in reports if not r.passed][:5])
     return _finish(result)
 
 
@@ -435,8 +424,10 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
 # name -> (runner, the flags it takes).  A flag goes only to the suites
 # listed as taking it, and the rest refuse it.
 _SUITES = {
-    "table1": (run_table1, ("max_n", "budget")),
-    "table2": (run_table2, ("max_n", "budget")),
+    "table1": (partial(_run_failed_table, "table1", Rule.STANDARD),
+               ("max_n", "budget")),
+    "table2": (partial(_run_failed_table, "table2", Rule.PSD),
+               ("max_n", "budget")),
     "table51": (run_table51, ("max_n", "budget")),
     "characterizations": (run_characterizations, ("max_n", "budget")),
     "exhaustive6": (run_exhaustive, ("max_n",)),

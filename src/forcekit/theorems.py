@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import TABLE1, TABLE2, table51_lookup, table_lookup
+from .formulas import (TABLE1, TABLE2, UnsupportedFamilyError, table51_lookup,
+                       table_lookup)
 from .graphs import (
     FamilySpec,
     Graph,
@@ -107,15 +108,17 @@ def check_minrank_equalities(spec: FamilySpec, f: int,
                              fplus: int) -> list[TheoremReport]:
     """F = mr (Thm 5.7) and F+ = mr+ (Thm 5.8) exactly where the family's
     row of Table 1 or 2 says so; P1 = K1 is the one path meeting its own
-    minimum rank.  mr and mr+ come from the tabulated nullities via
-    rank-nullity."""
+    minimum rank.  mr and mr+ are the fields of ``table51_lookup``, which
+    derives them from the tabulated nullities M and M+ by rank-nullity."""
     name = spec.label()
-    _, (*_, mr, mrplus), _ = table51_lookup(spec)
+    table = table51_lookup(spec)
+    if table is None:
+        raise UnsupportedFamilyError(f"{name} is in no row of Table 5.1")
     return [
         TheoremReport.compare("Thm 5.7", name, table_lookup(TABLE1, spec)[2],
-                              f == mr),
+                              f == table.mr),
         TheoremReport.compare("Thm 5.8", name, table_lookup(TABLE2, spec)[2],
-                              fplus == mrplus),
+                              fplus == table.mrplus),
     ]
 
 
@@ -123,6 +126,8 @@ def check_Fplus_lt_Zplus_cases(spec: FamilySpec, fplus: int,
                                zplus: int) -> list[TheoremReport]:
     """Thm 5.2: F+ < Z+ exactly where the family's row of Table 5.1 says
     so; trees and edgeless graphs, outside the table, always have it."""
-    expected = spec.kind in ("marytree", "empty") or table51_lookup(spec)[2]
-    return [TheoremReport.compare("Thm 5.2", spec.label(), expected,
-                                  fplus < zplus)]
+    table = table51_lookup(spec)
+    if table is None and spec.kind not in ("marytree", "empty"):
+        raise UnsupportedFamilyError(f"{spec.label()} is in no row of Table 5.1")
+    return [TheoremReport.compare("Thm 5.2", spec.label(),
+                                  table is None or table.fplus_lt_zplus, fplus < zplus)]

@@ -11,7 +11,7 @@ import time
 import forcekit.suites as suites
 from forcekit.cli import main
 from forcekit.forcing import Rule
-from forcekit.formulas import table51_value
+from forcekit.formulas import table51_lookup
 from forcekit.graphs import FamilySpec, build_family
 from forcekit.search import failed_number
 from forcekit.suites import (
@@ -220,12 +220,14 @@ def test_criterion_6_minimum_rank_equalities():
     start = time.perf_counter()
     failures = []
     spot = {}
-    for spec in default_family_specs(kinds=TABLE_KINDS):
+    for spec in default_family_specs():
+        if spec.kind not in TABLE_KINDS:
+            continue
         g = build_family(spec)
         f = failed_number(g, Rule.STANDARD).value
         fp = failed_number(g, Rule.PSD).value
-        mr = table51_value(spec, "mr")
-        mrplus = table51_value(spec, "mrplus")
+        table = table51_lookup(spec)
+        mr, mrplus = table.mr, table.mrplus
         key = (spec.kind, spec.params)
         if (f == mr) != (key in MR_EQUALITY):
             failures.append(f"{spec.label()}: F={f} mr={mr}")

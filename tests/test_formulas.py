@@ -2,7 +2,7 @@ from itertools import chain, combinations_with_replacement, product
 
 import pytest
 
-from forcekit.forcing import Rule
+from forcekit.forcing import Rule, is_failed_set, is_forcing_set
 from forcekit.formulas import (
     EXACT,
     LOWER_BOUND,
@@ -13,9 +13,9 @@ from forcekit.formulas import (
     UnsupportedFamilyError,
     compose_disconnected,
     predicted_failed,
+    _first_row,
     predicted_table51,
     table51_lookup,
-    table51_value,
     table_lookup,
 )
 from forcekit.graphs import (
@@ -26,12 +26,21 @@ from forcekit.graphs import (
     build_family,
     parse_family,
 )
-from forcekit.search import brute_failed_number, failed_number
-from forcekit.suites import _TABLE51_KINDS, default_family_specs
+from forcekit.search import brute_failed_number, failed_number, zero_forcing_number
+from forcekit.suites import default_family_specs
+
+# the seven kinds that Tables 1, 2 and 5.1 cover
+TABLE_KINDS = ("path", "cycle", "complete", "hypercube", "wheel",
+               "biclique", "halfgraph")
 
 
 def spec(text):
     return parse_family(text)
+
+
+def tabulated_defaults():
+    """The default instances that a Table 5.1 row covers."""
+    return [s for s in default_family_specs() if table51_lookup(s) is not None]
 
 
 # F and F+ of a family instance, as the paper's Tables 1 and 2 name them
@@ -117,7 +126,7 @@ class TestOracleAgreement:
 class TestPaperTables:
     @pytest.mark.parametrize("table", [TABLE1, TABLE2], ids=["table1", "table2"])
     def test_rows_and_default_instances_cover_each_other(self, table):
-        instances = default_family_specs(kinds=_TABLE51_KINDS)
+        instances = tabulated_defaults()
         for s in instances:
             assert any(row.covers(s) for row in table), s.label()
         for row in table:
@@ -125,7 +134,7 @@ class TestPaperTables:
 
     @pytest.mark.parametrize("table", [TABLE1, TABLE2], ids=["table1", "table2"])
     def test_overlapping_rows_agree(self, table):
-        for s in default_family_specs(kinds=_TABLE51_KINDS):
+        for s in tabulated_defaults():
             rows = [row for row in table if row.covers(s)]
             values = {table_lookup((row,), s)[1:] for row in rows}
             assert len(values) == 1, (s.label(), [r.label for r in rows])
@@ -175,23 +184,50 @@ class TestTable51:
         assert preds["mr"] == preds["mrplus"] == order - 1
 
     def test_wheel_row(self):
-        assert table51_value(spec("wheel:9"), "mr") == 6
+        assert table51_lookup(spec("wheel:9")).mr == 6
+
+    def test_record_fields(self):
+        assert table51_lookup(spec("halfgraph:3"))._asdict() == {
+            "M": 3, "Z": 3, "Mplus": 3, "Zplus": 3, "mr": 3, "mrplus": 3,
+            "fplus_lt_zplus": True,
+            "known_discrepancies": ("Z", "Zplus", "Thm 5.2")}
+        table = table51_lookup(spec("biclique:3,4"))
+        assert (table.M, table.Z, table.Mplus, table.Zplus, table.mr,
+                table.mrplus) == (5, 5, 3, 3, 2, 4)
+        assert (table.fplus_lt_zplus, table.known_discrepancies) == (False, ())
 
     def test_rows_and_default_instances_cover_each_other(self):
         # every default instance of the seven tabulated kinds has a row,
         # and every row serves some default instance
-        kinds = ("path", "cycle", "complete", "hypercube", "wheel",
-                 "biclique", "halfgraph")
-        assert set(_TABLE51_KINDS) == set(kinds)
-        rows = [table51_lookup(s)[0] for s in default_family_specs(kinds=kinds)]
+        instances = [s for s in default_family_specs() if s.kind in TABLE_KINDS]
+        assert instances == tabulated_defaults()
+        rows = [_first_row(TABLE51, s)[0] for s in instances]
         assert set(map(id, rows)) == set(map(id, TABLE51))
+
+    def test_tabulated_nullities_bound_the_computed_forcing_numbers(self):
+        # M <= Z (AIM Minimum Rank - Special Graphs Work Group, LAA 2008)
+        # and M+ <= Z+ (Barioli et al., LAA 2010).  Table 5.1's M = M+ = s
+        # for the half-graph H_s exceeds the computed Z = Z+ = s - 1 at
+        # s >= 3, so those nullities, and the mr and mr+ read from them,
+        # cannot hold; every other default instance meets both bounds.
+        too_large = set()
+        instances = tabulated_defaults()
+        assert len(instances) == 64
+        for s in instances:
+            table, g = table51_lookup(s), build_family(s)
+            z = zero_forcing_number(g, Rule.STANDARD).value
+            zplus = zero_forcing_number(g, Rule.PSD).value
+            if table.M > z or table.Mplus > zplus:
+                too_large.add((s.label(), table.M, z, table.Mplus, zplus))
+        assert too_large == {(f"halfgraph:{s}", s, s - 1, s, s - 1)
+                             for s in (3, 4, 5)}
 
     def test_known_discrepancies_marked_only_on_half_graphs(self):
         # a mark turns a failure of that claim into a known discrepancy, so
         # a mark where the claim holds would hide a later regression
         marked = {(s.label(), claim)
-                  for s in default_family_specs(kinds=_TABLE51_KINDS)
-                  for claim in table51_lookup(s)[0].known_discrepancies}
+                  for s in tabulated_defaults()
+                  for claim in table51_lookup(s).known_discrepancies}
         assert marked == {("halfgraph:3", "Z"), ("halfgraph:3", "Zplus"),
                           ("halfgraph:3", "Thm 5.2"),
                           ("halfgraph:4", "Z"), ("halfgraph:4", "Zplus"),
@@ -200,6 +236,7 @@ class TestTable51:
     @pytest.mark.parametrize("text", ["marytree:2,5", "empty:3",
                                       "cycle:3+path:2"])
     def test_not_in_table(self, text):
+        assert table51_lookup(spec(text)) is None
         with pytest.raises(UnsupportedFamilyError):
             predicted_table51(spec(text))
 
@@ -218,10 +255,12 @@ class TestEveryInstance:
                 except FamilyError:
                     pass
         assert len(specs) == 6205
+        specs.append(parse_family("cycle:3+path:2"))
         for s in specs:
             assert isinstance(predicted_F(s), Prediction), s
             assert isinstance(predicted_Fplus(s), Prediction), s
-            if s.kind in ("marytree", "empty"):
+            if s.kind in ("marytree", "empty", "union"):
+                assert table51_lookup(s) is None, s
                 with pytest.raises(UnsupportedFamilyError):
                     predicted_table51(s)
             else:
@@ -287,3 +326,56 @@ class TestFamilySpecOrder:
     def test_order(self, text, order):
         assert spec(text).order() == order
         assert build_family(spec(text)).n == order
+
+
+# The largest instance of each kind at order <= 63, with half-graph H_16.
+# Each of the 44 cells (instance, parameter) that finishes within a budget
+# of 1,000,000 search nodes is checked here; the other 14 are walls:
+# F of path:63, cycle:63 and wheel:63, F+ of wheel:63 and the two trees,
+# Z of the two trees, and Z and Z+ of hypercube:5 and both half-graphs.
+ORDER_63_CELLS = [
+    ("path:63", ("Fplus", "Z", "Zplus")),
+    ("cycle:63", ("Fplus", "Z", "Zplus")),
+    ("complete:63", ("F", "Fplus", "Z", "Zplus")),
+    ("wheel:63", ("Z", "Zplus")),
+    ("biclique:31,32", ("F", "Fplus", "Z", "Zplus")),
+    ("hypercube:5", ("F", "Fplus")),
+    ("halfgraph:16", ("F", "Fplus")),
+    ("halfgraph:31", ("F", "Fplus")),
+    ("marytree:2,63", ("F", "Zplus")),
+    ("marytree:3,63", ("F", "Zplus")),
+    ("empty:63", ("F", "Fplus", "Z", "Zplus")),
+]
+# Cells outside Tables 1, 2 and 5.1 and the tree and edgeless forms of
+# predicted_failed: a tree has Z+ = 1 and an edgeless graph Z = Z+ = n.
+ORDER_63_UNTABULATED = {("marytree:2,63", "Zplus"): 1,
+                        ("marytree:3,63", "Zplus"): 1,
+                        ("empty:63", "Z"): 63, ("empty:63", "Zplus"): 63}
+
+
+@pytest.mark.parametrize("text,parameter", [
+    (text, parameter) for text, parameters in ORDER_63_CELLS
+    for parameter in parameters])
+def test_closed_forms_at_order_63(text, parameter):
+    s = spec(text)
+    g = build_family(s)
+    rule = Rule.PSD if parameter.endswith("plus") else Rule.STANDARD
+    if parameter.startswith("Z"):
+        res = zero_forcing_number(g, rule, 1_000_000)
+        assert is_forcing_set(g, res.witness, rule)
+    else:
+        res = failed_number(g, rule, 1_000_000)
+        assert is_failed_set(g, res.witness, rule)
+    assert res.witness.bit_count() == res.value
+    if (text, parameter) in ORDER_63_UNTABULATED:
+        assert res.value == ORDER_63_UNTABULATED[text, parameter]
+    elif parameter.startswith("Z"):
+        assert res.value == getattr(table51_lookup(s), parameter)
+    else:
+        pred = predicted_failed(s, rule)
+        assert (pred.parameter, pred.exactness) == (
+            parameter, LOWER_BOUND if s.kind == "hypercube" else EXACT)
+        if pred.exactness == EXACT:
+            assert res.value == pred.value
+        else:
+            assert res.value >= pred.value

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import forcekit.linalg as linalg
 import forcekit.suites as suites
 from forcekit.forcing import Rule, is_failed_set
+from forcekit.formulas import UnsupportedFamilyError
 from forcekit.graphs import build_family, connected_components, parse_family
 from forcekit.linalg import (
     PatternMatrix,
@@ -469,6 +472,23 @@ class TestSupportImpliesFailed:
         with pytest.raises(PatternMismatchError):
             support_implies_failed(sample_pattern_matrix(g, 0), Rule.PSD)
 
+    def test_suite_samples_name_their_instance_and_trial(self, monkeypatch):
+        # With every certificate failing, each instance keeps up to five
+        # failing reports as samples; each names its instance and trial, so
+        # no two samples of one theorem share a name.
+        monkeypatch.setattr(linalg, "is_failed_set", lambda *args: False)
+        res = run_linalg(0, trials=2, max_n=4)
+        labels = {s.label() for s in suites.default_family_specs(4)}
+        samples = [c for c in res["checks"]
+                   if c["theorem"] in ("Cor 2.10", "Prop 2.12")]
+        assert len(samples) == 93
+        for c in samples:
+            match = re.fullmatch(r"(\S+) trial [01]: n=(\d+) kernel dim [1-9]",
+                                 c["graph"])
+            assert match and match[1] in labels, c["graph"]
+            assert parse_family(match[1]).order() == int(match[2])
+        assert len({(c["graph"], c["theorem"]) for c in samples}) == 93
+
 
 class TestRankBound:
     def test_paths_nearly_full_rank(self):
@@ -490,6 +510,11 @@ class TestRankBound:
         m = weighted_laplacian(build_family(spec), seed=2)
         assert matrix_rank(m) == 5
         assert rank_lower_bound_check(spec, m).passed  # 5 >= mr = 4
+
+    def test_union_is_outside_the_table(self):
+        spec = parse_family("cycle:3+path:2")
+        with pytest.raises(UnsupportedFamilyError):
+            rank_lower_bound_check(spec, weighted_laplacian(build_family(spec), 0))
 
 
 class TestSerialization:

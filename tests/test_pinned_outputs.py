@@ -1,5 +1,6 @@
 """Byte-identical outputs: the sha256 of the full stdout of cheap runs of
-every verify suite, of analyze on three families and of both tables.
+every verify suite, of the full default table51 and characterizations
+runs, of analyze on three families and of both tables.
 
 A refactor must leave every digest as it is.  A change that alters an
 output on purpose updates its digest here and says why in CHANGES.md.
@@ -20,6 +21,10 @@ DIGESTS = [
      "aaad5e6ff626ae1e6846167ea8d9bdeca418b4dc2528ce1e1ecabf583a8a36c1"),
     (("verify", "--suite", "characterizations", "--max-n", "8", "--json"),
      "3d8487dce0a1a966fbf3c1b31bdafb85d7eaf0e6f9aac80ce98fc16a8cbb87ee"),
+    (("verify", "--suite", "table51", "--json"),
+     "7f964cb77197befb6305e7d7f77bf9dee4c74eadf3c39bf5ad326ce60b21771b"),
+    (("verify", "--suite", "characterizations", "--json"),
+     "2c7bc3d22b2c2a5a73f99e4dcbe8dc7c763f2dc93fa209742a901541e9fb0b82"),
     (("verify", "--suite", "exhaustive6", "--max-n", "5", "--json"),
      "6af345951e7d2d34503d53d9c51e6bf49317231f8323b5776a295288566a7e1d"),
     (("verify", "--suite", "disconnected", "--seed", "0", "--json"),

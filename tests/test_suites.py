@@ -31,8 +31,6 @@ from forcekit.suites import (
     run_exhaustive,
     run_linalg,
     run_suite,
-    run_table1,
-    run_table2,
     run_table51,
 )
 from forcekit.theorems import TheoremReport
@@ -55,19 +53,15 @@ class TestDefaultSpecs:
     def test_max_n_filter(self):
         assert all(s.order() <= 8 for s in default_family_specs(max_n=8))
 
-    def test_kind_filter(self):
-        specs = default_family_specs(kinds=("wheel",))
-        assert {s.kind for s in specs} == {"wheel"}
-
 
 class TestTableSuites:
     def test_table1_small(self):
-        res = run_table1(max_n=9)
+        res = run_suite("table1", max_n=9)
         assert res["ok"] and res["failed"] == 0 and res["passed"] > 40
         assert res["known_discrepancies"] == 0
 
     def test_table2_small(self):
-        res = run_table2(max_n=9)
+        res = run_suite("table2", max_n=9)
         assert res["ok"] and res["failed"] == 0
 
     def test_table51_flags_halfgraph_rows(self):
@@ -347,7 +341,8 @@ class TestLinalgSuite:
 
     def test_failures_are_counted_and_sampled(self, monkeypatch):
         # every PSD certificate and every rank bound fails; each instance
-        # keeps its first five failed reports, in trial order
+        # keeps its first five failed reports, in trial order, each named
+        # after its instance and trial
         rank_calls = []
         trials_begun = []
 
@@ -372,12 +367,14 @@ class TestLinalgSuite:
         assert res["by_theorem"] == {
             "Cor 2.10 / Prop 2.12": {"passed": 0, "failed": 4},
             "Table 5.1 rank bound": {"passed": 0, "failed": 1}}
-        path = [c for c in res["checks"]
-                if c["graph"] in ("instance 0", "path:1")]
+        path = [c for c in res["checks"] if c["graph"].startswith("path:1")]
         assert [(c["graph"], c["observed"]) for c in path] == [
-            ("instance 0", "t=0"), ("instance 0", "t=1"),
             ("path:1", "4 passed"), ("path:1", "0 held"),
-            ("path:1", "call 1"), ("path:1", "call 2"), ("path:1", "call 3")]
+            ("path:1 trial 0: instance 0", "t=0"),
+            ("path:1 trial 0: path:1", "call 1"),
+            ("path:1 trial 0: path:1", "call 2"),
+            ("path:1 trial 0: path:1", "call 3"),
+            ("path:1 trial 1: instance 0", "t=1")]
 
     def test_deterministic(self):
         a = run_linalg(seed=2, trials=3, max_n=6)

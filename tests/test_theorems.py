@@ -1,6 +1,7 @@
 import pytest
 
 from forcekit.forcing import Rule
+from forcekit.formulas import UnsupportedFamilyError
 from forcekit.graphs import build_family, parse_family
 from forcekit.search import failed_number, zero_forcing_number
 from forcekit.suites import default_family_specs
@@ -138,7 +139,7 @@ class TestMinrankEqualities:
                                           ("Thm 5.8", True, True, True)]
 
     def test_whole_default_range(self):
-        for spec in default_family_specs(kinds=TABLE_KINDS):
+        for spec in (s for s in default_family_specs() if s.kind in TABLE_KINDS):
             g = build_family(spec)
             f = failed_number(g, Rule.STANDARD).value
             fp = failed_number(g, Rule.PSD).value
@@ -168,6 +169,13 @@ class TestFplusLtZplus:
         for spec in specs:
             [rep] = check_Fplus_lt_Zplus_cases(spec, 0, 1)
             assert rep.expected == (spec.label() not in not_below), spec.label()
+
+    def test_union_is_outside_the_table(self):
+        union = parse_family("cycle:3+path:2")
+        with pytest.raises(UnsupportedFamilyError):
+            check_Fplus_lt_Zplus_cases(union, 1, 2)
+        with pytest.raises(UnsupportedFamilyError):
+            check_minrank_equalities(union, 3, 1)
 
     def test_halfgraph3_inherits_table_discrepancy(self):
         # the tabulated Z+ = 3 would put H3 on the strict side, but the
