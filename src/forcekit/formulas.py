@@ -83,8 +83,7 @@ class TableRow:
     exactness: str = EXACT
 
     def covers(self, spec: FamilySpec) -> bool:
-        kind, params = _table_params(spec)
-        return kind == self.kind and self.when(*params)
+        return _first_row((self,), spec)[0] is not None
 
 
 # Rows may overlap (K_{m,2} lies in K_{m,n}, m>=n>=2); they agree where they
@@ -144,14 +143,16 @@ TABLE2 = (
 )
 
 
-def table_lookup(table: tuple[TableRow, ...],
-                 spec: FamilySpec) -> tuple[TableRow, int, bool]:
+TableEntry = namedtuple("TableEntry", "row value meets_mr")
+
+
+def table_lookup(table: tuple[TableRow, ...], spec: FamilySpec) -> TableEntry:
     """The first row of ``table`` that covers ``spec``, with its value and
     its ``meets_mr`` there."""
     row, params = _first_row(table, spec)
     if row is None:
         raise UnsupportedFamilyError(f"{spec.label()} is in no row of the table")
-    return row, _entry(row.value, params), _entry(row.meets_mr, params)
+    return TableEntry(row, _entry(row.value, params), _entry(row.meets_mr, params))
 
 
 @dataclass(frozen=True)
@@ -284,6 +285,7 @@ def predicted_failed(spec: FamilySpec, rule: Rule) -> Prediction:
     elif spec.kind == "marytree":
         value, exact, source = row.tree_value(spec), True, row.tree_source
     else:
-        table_row, value, _ = table_lookup(row.table, spec)
-        exact, source = table_row.exactness == EXACT, table_row.source
+        entry = table_lookup(row.table, spec)
+        value, exact = entry.value, entry.row.exactness == EXACT
+        source = entry.row.source
     return Prediction(row.parameter, value, EXACT if exact else LOWER_BOUND, source)

@@ -31,7 +31,6 @@ from itertools import chain
 from math import gcd
 
 from .forcing import Rule, is_failed_set
-from .formulas import UnsupportedFamilyError, table51_lookup
 from .graphs import FamilySpec, Graph
 from .theorems import TheoremReport
 
@@ -260,13 +259,12 @@ def support_implies_failed(matrix: PatternMatrix, rule: Rule) -> TheoremReport:
                          "every zero set failed", True)
 
 
-def rank_lower_bound_check(spec: FamilySpec, matrix: PatternMatrix) -> TheoremReport:
+def rank_lower_bound_check(spec: FamilySpec, table,
+                           matrix: PatternMatrix) -> TheoremReport:
     """Every matrix fitting the pattern has rank >= the tabulated minimum
     rank of the family (and >= the PSD minimum rank when the matrix is
-    positive semidefinite)."""
-    table = table51_lookup(spec)
-    if table is None:
-        raise UnsupportedFamilyError(f"{spec.label()} is in no row of Table 5.1")
+    positive semidefinite).  ``table`` is the spec's Table 5.1 record
+    (``formulas.table51_lookup``); its ``mr`` and ``mrplus`` are read."""
     rank = matrix_rank(matrix)
     label, bound = ("mr+", table.mrplus) if matrix.psd else ("mr", table.mr)
     return TheoremReport(RANK_BOUND, spec.label(),

@@ -6,8 +6,9 @@ fort is a nonempty vertex set W whose complement is stalled, so the failed
 number is n - |minimum fort|, found by a depth-first search that prunes
 with necessary conditions of the fort definition.  The fort predicate
 itself, ``is_fort``, lives in ``forcing`` beside ``can_force_into``.  The
-descending scan of failed sets survives as ``brute_failed_number``, the
-independent oracle.
+independent oracle, ``brute_failed_number``, scans all 2^n vertex masks in
+ascending order, skips a mask with fewer vertices than the largest failed
+set found so far, and keeps the lexicographically least largest one.
 
 Both searches skip relabelings of twins.  Two vertices u < v are twins when
 N(u) - v == N(v) - u; swapping them is an automorphism, so the forcing sets

@@ -192,9 +192,9 @@ def run_characterizations(max_n: int | None = None,
         table = table51_lookup(spec)
         known = ()
         if table is not None:
-            reports += check_minrank_equalities(spec, f, fp)
+            reports += check_minrank_equalities(spec, table, f, fp)
             known = table.known_discrepancies
-        reports += check_Fplus_lt_Zplus_cases(spec, fp, zp)
+        reports += check_Fplus_lt_Zplus_cases(spec, table, fp, zp)
         for rep in reports:
             _record(result, rep, rep.theorem in known)
     return _finish(result)
@@ -383,7 +383,8 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
     specs.extend(spec for spec in unions if spec.order() <= max_n)
     for idx, spec in enumerate(specs):
         g = build_family(spec)
-        in_table = table51_lookup(spec) is not None
+        table = table51_lookup(spec)
+        in_table = table is not None
         reports = []
         for t in range(trials):
             # Each matrix draws from its own seed, so one that no check
@@ -400,7 +401,7 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
                 singular if t % 2 else sampled, Rule.STANDARD)))
             reports.append((t, support_implies_failed(laplacian, Rule.PSD)))
             if in_table:
-                reports.extend((t, rank_lower_bound_check(spec, matrix))
+                reports.extend((t, rank_lower_bound_check(spec, table, matrix))
                                for matrix in (sampled, singular, laplacian))
         rank_ok = sum(r.passed for _, r in reports if r.theorem == RANK_BOUND)
         support_ok = sum(r.passed for _, r in reports) - rank_ok

@@ -3,15 +3,15 @@
 Each check compares computed parameter values against what a theorem
 asserts about the graph's structure and returns one TheoremReport per
 assertion.  The checks take already-computed parameters so they can be
-driven by either the fort search or the brute oracle.
+driven by either the fort search or the brute oracle, and the Table 5.1
+checks take the record that their suite looked up (``table51_lookup``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import (TABLE1, TABLE2, UnsupportedFamilyError, table51_lookup,
-                       table_lookup)
+from .formulas import TABLE1, TABLE2, Table51, UnsupportedFamilyError, table_lookup
 from .graphs import (
     FamilySpec,
     Graph,
@@ -104,29 +104,26 @@ def check_F_vs_Z(g: Graph, name: str, f: int, z: int, fplus: int,
     ]
 
 
-def check_minrank_equalities(spec: FamilySpec, f: int,
+def check_minrank_equalities(spec: FamilySpec, table: Table51, f: int,
                              fplus: int) -> list[TheoremReport]:
     """F = mr (Thm 5.7) and F+ = mr+ (Thm 5.8) exactly where the family's
     row of Table 1 or 2 says so; P1 = K1 is the one path meeting its own
-    minimum rank.  mr and mr+ are the fields of ``table51_lookup``, which
-    derives them from the tabulated nullities M and M+ by rank-nullity."""
+    minimum rank.  ``table`` is the spec's Table 5.1 record, whose mr and
+    mr+ come from the tabulated nullities M and M+ by rank-nullity."""
     name = spec.label()
-    table = table51_lookup(spec)
-    if table is None:
-        raise UnsupportedFamilyError(f"{name} is in no row of Table 5.1")
     return [
-        TheoremReport.compare("Thm 5.7", name, table_lookup(TABLE1, spec)[2],
+        TheoremReport.compare("Thm 5.7", name, table_lookup(TABLE1, spec).meets_mr,
                               f == table.mr),
-        TheoremReport.compare("Thm 5.8", name, table_lookup(TABLE2, spec)[2],
+        TheoremReport.compare("Thm 5.8", name, table_lookup(TABLE2, spec).meets_mr,
                               fplus == table.mrplus),
     ]
 
 
-def check_Fplus_lt_Zplus_cases(spec: FamilySpec, fplus: int,
-                               zplus: int) -> list[TheoremReport]:
-    """Thm 5.2: F+ < Z+ exactly where the family's row of Table 5.1 says
-    so; trees and edgeless graphs, outside the table, always have it."""
-    table = table51_lookup(spec)
+def check_Fplus_lt_Zplus_cases(spec: FamilySpec, table: Table51 | None,
+                               fplus: int, zplus: int) -> list[TheoremReport]:
+    """Thm 5.2: F+ < Z+ exactly where the spec's Table 5.1 record ``table``
+    says so; trees and edgeless graphs, outside the table (``table`` None),
+    always have it."""
     if table is None and spec.kind not in ("marytree", "empty"):
         raise UnsupportedFamilyError(f"{spec.label()} is in no row of Table 5.1")
     return [TheoremReport.compare("Thm 5.2", spec.label(),

@@ -129,6 +129,17 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--file", str(path))
         assert code == 2 and "loop" in err
 
+    @pytest.mark.parametrize("text,message", [
+        ("2 1\n0 1 2\n", "bad edge line '0 1 2'"),
+        ("2 1\n0\n", "bad edge line '0'"),
+        ("2 1\n0 x\n", "non-integer edge line '0 x'"),
+    ])
+    def test_malformed_edge_line_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", "--file", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_non_utf8_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"\xff\xfe2 1\n0 1\n")

@@ -75,6 +75,10 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph(2, (0b100, 0b000))
 
+    def test_rejects_adjacency_of_wrong_length(self):
+        with pytest.raises(ValueError, match="adjacency length"):
+            Graph(2, (2,))
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             Graph(0, ())
@@ -226,6 +230,18 @@ class TestFamilyErrors:
         with pytest.raises(FamilyError) as exc:
             FamilySpec("union", members=members)
         assert str(exc.value) == "union has 70 vertices > 63"
+
+    @pytest.mark.parametrize("members,message", [
+        ((FamilySpec("path", (2,)),), "union needs at least two members"),
+        ((FamilySpec("path", (2,)),
+          FamilySpec("union", members=(FamilySpec("path", (1,)),
+                                       FamilySpec("cycle", (3,))))),
+         "nested unions are not supported"),
+    ])
+    def test_union_members_checked_by_spec(self, members, message):
+        with pytest.raises(FamilyError) as exc:
+            FamilySpec("union", members=members)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("text", ["union:3+path:2", "union:3",
                                       "path:2+union:1,2"])

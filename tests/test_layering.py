@@ -1,0 +1,66 @@
+"""Which module may read Table 5.1 and which may import formulas: the
+suites look up each instance's record once, through
+``formulas.table51_lookup``, and hand it to the checks that read it, so
+the checks in linalg and theorems never look it up themselves."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "forcekit"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The modules that ``path`` imports, forcekit's by bare name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("forcekit.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("forcekit.")
+            if module in ("", "forcekit"):  # from . import formulas
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(module)
+    return found
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier ``path`` uses, imports or defines."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_linalg_imports_nothing_from_formulas():
+    assert "formulas" not in _imported_modules(SRC / "linalg.py")
+
+
+def test_only_formulas_suites_and_cli_look_up_table51():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert [f.name for f in files if "table51_lookup" in _names(f)] == [
+        "cli.py", "formulas.py", "suites.py"]
+
+
+def test_guards_see_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from .formulas import x\n"
+        "from . import formulas\n"
+        "from forcekit import search\n"
+        "import forcekit.formulas\n"
+        "from forcekit.formulas import y\n"
+        "from .graphs import Graph\n"
+        "z = formulas.table51_lookup\n")
+    assert _imported_modules(path) == {"formulas", "graphs", "search"}
+    assert "table51_lookup" in _names(path)
+    path.write_text('"""table51_lookup is named only in this docstring."""\n')
+    assert "table51_lookup" not in _names(path)

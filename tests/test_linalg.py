@@ -6,7 +6,7 @@ import pytest
 import forcekit.linalg as linalg
 import forcekit.suites as suites
 from forcekit.forcing import Rule, is_failed_set
-from forcekit.formulas import UnsupportedFamilyError
+from forcekit.formulas import table51_lookup
 from forcekit.graphs import build_family, connected_components, parse_family
 from forcekit.linalg import (
     PatternMatrix,
@@ -493,28 +493,23 @@ class TestSupportImpliesFailed:
 class TestRankBound:
     def test_paths_nearly_full_rank(self):
         spec = parse_family("path:8")
-        g = build_family(spec)
+        g, table = build_family(spec), table51_lookup(spec)
         for seed in range(20):
-            rep = rank_lower_bound_check(spec, sample_pattern_matrix(g, seed))
+            rep = rank_lower_bound_check(spec, table, sample_pattern_matrix(g, seed))
             assert rep.passed
 
     def test_complete_graphs(self):
         spec = parse_family("complete:5")
-        g = build_family(spec)
+        g, table = build_family(spec), table51_lookup(spec)
         for seed in range(20):
-            rep = rank_lower_bound_check(spec, shifted_singular_matrix(g, seed))
+            rep = rank_lower_bound_check(spec, table, shifted_singular_matrix(g, seed))
             assert rep.passed
 
     def test_c6_laplacian(self):
         spec = parse_family("cycle:6")
         m = weighted_laplacian(build_family(spec), seed=2)
         assert matrix_rank(m) == 5
-        assert rank_lower_bound_check(spec, m).passed  # 5 >= mr = 4
-
-    def test_union_is_outside_the_table(self):
-        spec = parse_family("cycle:3+path:2")
-        with pytest.raises(UnsupportedFamilyError):
-            rank_lower_bound_check(spec, weighted_laplacian(build_family(spec), 0))
+        assert rank_lower_bound_check(spec, table51_lookup(spec), m).passed  # 5 >= mr = 4
 
 
 class TestSerialization:

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import forcekit
+import forcekit.formulas as formulas
 import forcekit.suites as suites
 from forcekit.forcing import Rule
 from forcekit.graphs import (
@@ -354,7 +357,8 @@ class TestLinalgSuite:
             return TheoremReport(rule.value, f"instance {idx}", "-", f"t={t}",
                                  rule is Rule.STANDARD)
 
-        def rank_bound(spec, matrix):
+        def rank_bound(spec, table, matrix):
+            assert table.mr == table.mrplus == 0  # path:1's record
             rank_calls.append(spec)
             return TheoremReport("Table 5.1 rank bound", spec.label(), "-",
                                  f"call {len(rank_calls)}", False)
@@ -380,6 +384,31 @@ class TestLinalgSuite:
         a = run_linalg(seed=2, trials=3, max_n=6)
         b = run_linalg(seed=2, trials=3, max_n=6)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestTable51Lookups:
+    """A suite looks up each instance's Table 5.1 record once and hands it
+    to the checks that read it."""
+
+    @pytest.mark.parametrize("run,instances", [
+        (lambda: run_characterizations(max_n=8), 70),
+        (lambda: run_linalg(0, trials=2, max_n=12), 100),
+    ])
+    def test_one_lookup_per_instance(self, monkeypatch, run, instances):
+        original = formulas.table51_lookup
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return original(spec)
+
+        modules = [forcekit] + [importlib.import_module(f"forcekit.{m.name}")
+                                for m in pkgutil.iter_modules(forcekit.__path__)]
+        for module in modules:
+            if getattr(module, "table51_lookup", None) is original:
+                monkeypatch.setattr(module, "table51_lookup", counted)
+        run()
+        assert len(calls) == len(set(calls)) == instances
 
 
 class TestDispatch:

@@ -1,7 +1,7 @@
 import pytest
 
 from forcekit.forcing import Rule
-from forcekit.formulas import UnsupportedFamilyError
+from forcekit.formulas import UnsupportedFamilyError, table51_lookup
 from forcekit.graphs import build_family, parse_family
 from forcekit.search import failed_number, zero_forcing_number
 from forcekit.suites import default_family_specs
@@ -27,6 +27,12 @@ def computed(text):
             zero_forcing_number(g, Rule.STANDARD).value,
             failed_number(g, Rule.PSD).value,
             zero_forcing_number(g, Rule.PSD).value)
+
+
+def with_record(text):
+    """The spec and its Table 5.1 record, as the suites pass them."""
+    spec = parse_family(text)
+    return spec, table51_lookup(spec)
 
 
 def all_pass(reports):
@@ -114,26 +120,26 @@ class TestFvsZ:
 class TestMinrankEqualities:
     def test_c4_meets_mr(self):
         _, f, _, fp, _ = computed("cycle:4")
-        reports = check_minrank_equalities(parse_family("cycle:4"), f, fp)
+        reports = check_minrank_equalities(*with_record("cycle:4"), f, fp)
         assert all_pass(reports)
         assert f == 2  # equals the tabulated mr
 
     def test_w5_meets_mrplus(self):
         _, f, _, fp, _ = computed("wheel:5")
         assert fp == 2
-        assert all_pass(check_minrank_equalities(parse_family("wheel:5"), f, fp))
+        assert all_pass(check_minrank_equalities(*with_record("wheel:5"), f, fp))
 
     def test_p6_strict(self):
         _, f, _, fp, _ = computed("path:6")
         assert f == 2  # tabulated mr is 5
-        assert all_pass(check_minrank_equalities(parse_family("path:6"), f, fp))
+        assert all_pass(check_minrank_equalities(*with_record("path:6"), f, fp))
 
     def test_k1_is_p1_meeting_both_minimum_ranks(self):
         # K_1 = P_1: F = F+ = 0 = mr = mr+, as the P_n rows say ("iff n=1")
         _, f, _, fp, _ = computed("complete:1")
         assert (f, fp) == (0, 0)
         for text in ("complete:1", "path:1"):
-            reports = check_minrank_equalities(parse_family(text), f, fp)
+            reports = check_minrank_equalities(*with_record(text), f, fp)
             assert [(r.theorem, r.expected, r.observed, r.passed)
                     for r in reports] == [("Thm 5.7", True, True, True),
                                           ("Thm 5.8", True, True, True)]
@@ -143,7 +149,7 @@ class TestMinrankEqualities:
             g = build_family(spec)
             f = failed_number(g, Rule.STANDARD).value
             fp = failed_number(g, Rule.PSD).value
-            for rep in check_minrank_equalities(spec, f, fp):
+            for rep in check_minrank_equalities(spec, table51_lookup(spec), f, fp):
                 assert rep.passed, (spec.label(), rep)
 
 
@@ -154,7 +160,7 @@ class TestFplusLtZplus:
                                       "empty:4", "path:8", "complete:6"])
     def test_cases_hold_with_computed_values(self, text):
         g, _, _, fp, zp = computed(text)
-        assert all_pass(check_Fplus_lt_Zplus_cases(parse_family(text), fp, zp))
+        assert all_pass(check_Fplus_lt_Zplus_cases(*with_record(text), fp, zp))
 
     def test_expected_side_of_every_default_instance(self):
         # the default instances where Thm 5.2 says F+ is not below Z+
@@ -167,22 +173,20 @@ class TestFplusLtZplus:
         specs = default_family_specs()
         assert not_below <= {s.label() for s in specs}
         for spec in specs:
-            [rep] = check_Fplus_lt_Zplus_cases(spec, 0, 1)
+            [rep] = check_Fplus_lt_Zplus_cases(spec, table51_lookup(spec), 0, 1)
             assert rep.expected == (spec.label() not in not_below), spec.label()
 
     def test_union_is_outside_the_table(self):
         union = parse_family("cycle:3+path:2")
         with pytest.raises(UnsupportedFamilyError):
-            check_Fplus_lt_Zplus_cases(union, 1, 2)
-        with pytest.raises(UnsupportedFamilyError):
-            check_minrank_equalities(union, 3, 1)
+            check_Fplus_lt_Zplus_cases(union, None, 1, 2)
 
     def test_halfgraph3_inherits_table_discrepancy(self):
         # the tabulated Z+ = 3 would put H3 on the strict side, but the
         # computed Z+ is 2, so the derived claim fails there
         g, _, _, fp, zp = computed("halfgraph:3")
         assert (fp, zp) == (2, 2)
-        reports = check_Fplus_lt_Zplus_cases(parse_family("halfgraph:3"), fp, zp)
+        reports = check_Fplus_lt_Zplus_cases(*with_record("halfgraph:3"), fp, zp)
         assert not all_pass(reports)
 
 
