@@ -90,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _predictions_for(spec: FamilySpec) -> list[dict]:
     preds = [predicted_failed(spec, rule) for rule in Rule]
-    if table51_lookup(spec) is not None:
-        preds.extend(predicted_table51(spec))
+    table = table51_lookup(spec)
+    if table is not None:
+        preds.extend(predicted_table51(table))
     return [vars(p) for p in preds]
 
 

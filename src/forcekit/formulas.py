@@ -216,13 +216,11 @@ def table51_lookup(spec: FamilySpec) -> Table51 | None:
                    _entry(row.fplus_lt_zplus, params), row.known_discrepancies)
 
 
-def predicted_table51(spec: FamilySpec) -> list[Prediction]:
-    """M, Z, M+ and Z+ from the instance's Table 5.1 row, plus mr and mr+."""
-    values = table51_lookup(spec)
-    if values is None:
-        raise UnsupportedFamilyError(f"{spec.label()} is in no row of Table 5.1")
+def predicted_table51(table: Table51) -> list[Prediction]:
+    """M, Z, M+ and Z+ of an instance's Table 5.1 record ``table``
+    (``table51_lookup``), plus mr and mr+."""
     return [Prediction(parameter, value, EXACT, "Table 5.1")
-            for parameter, value in zip(values._fields, values[:6])]
+            for parameter, value in zip(table._fields, table[:6])]
 
 
 def compose_disconnected(components: list[tuple[int, int]]) -> int:

@@ -6,8 +6,9 @@ nonzero kernel vector x of such a matrix is a failed zero forcing set
 (Cor 2.10), and a failed PSD zero forcing set when A is positive
 semidefinite (Prop 2.12).  This module draws integer pattern matrices,
 finds their kernels, and checks those certificates against the forcing
-engine, plus a sanity bound: every pattern matrix has rank at least the
-family's tabulated minimum rank.
+engine, under the rule and theorem that the matrix's psd flag picks, plus
+a sanity bound: every pattern matrix has rank at least the family's
+tabulated minimum rank.
 
 Every step is exact, on Python integers.  Entries are drawn from small
 integer ranges; the pattern check compares entries with 0.  Bareiss's
@@ -229,22 +230,22 @@ def matrix_rank(matrix: PatternMatrix) -> int:
     return matrix.graph.n - len(matrix._kernel)
 
 
-def support_implies_failed(matrix: PatternMatrix, rule: Rule) -> TheoremReport:
+def support_implies_failed(matrix: PatternMatrix) -> TheoremReport:
     """Certificate check: for each kernel basis vector x of the matrix, the
-    zero set { i : x_i = 0 } must be failed in the matrix's graph under the
-    rule.
+    zero set { i : x_i = 0 } must be failed in the matrix's graph, under
+    the PSD rule (Prop 2.12) when the matrix carries the psd flag and under
+    the standard rule (Cor 2.10) otherwise.  A PSD-failed set is also
+    failed under the standard rule, so a PSD matrix needs no second check.
 
     Checking the full zero set suffices: subsets of failed sets are failed.
     A generic combination of the basis vanishes only where all of them do,
     inside each basis vector's zero set, so it would add no check.  The
     basis vectors' zero sets are distinct: each vector alone is nonzero at
-    its own non-pivot column.  Matrices checked under the PSD rule must
-    carry the psd flag.
+    its own non-pivot column.
     """
     g = matrix.graph
-    if rule is Rule.PSD and not matrix.psd:
-        raise PatternMismatchError("PSD-rule certificates need a PSD matrix")
-    theorem = "Cor 2.10" if rule is Rule.STANDARD else "Prop 2.12"
+    rule, theorem = ((Rule.PSD, "Prop 2.12") if matrix.psd
+                     else (Rule.STANDARD, "Cor 2.10"))
     basis = kernel_basis(matrix)
     name = f"n={g.n} kernel dim {len(basis)}"
     if not basis:

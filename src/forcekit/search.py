@@ -6,9 +6,11 @@ fort is a nonempty vertex set W whose complement is stalled, so the failed
 number is n - |minimum fort|, found by a depth-first search that prunes
 with necessary conditions of the fort definition.  The fort predicate
 itself, ``is_fort``, lives in ``forcing`` beside ``can_force_into``.  The
-independent oracle, ``brute_failed_number``, scans all 2^n vertex masks in
-ascending order, skips a mask with fewer vertices than the largest failed
-set found so far, and keeps the lexicographically least largest one.
+independent oracle, ``brute_failed_number``, tests the vertex sets by
+definition, sizes from n down and each size's sets in ``combinations``
+order.  Every larger set was tested and forces, and ``combinations``
+meets the sets of one size in lexicographic order, so the first failed set
+found is the lexicographically least largest one.
 
 Both searches skip relabelings of twins.  Two vertices u < v are twins when
 N(u) - v == N(v) - u; swapping them is an automorphism, so the forcing sets
@@ -21,6 +23,7 @@ adds v only to sets that hold v's previous twin, and finds the same witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .forcing import Rule, can_force_into, derived_set
 from .graphs import Graph, VertexSet, bits, component_reaches
@@ -257,24 +260,18 @@ def failed_number(g: Graph, rule: Rule, budget: int | None = None) -> ExtremalRe
 
 def brute_failed_number(g: Graph, rule: Rule,
                         budget: int | None = None) -> ExtremalResult:
-    """Independent oracle: scan all 2^n subsets for the largest failed one."""
+    """Independent oracle: the descending scan of the module docstring for
+    the largest failed set; each set tested spends one unit of budget."""
     tracker = _Budget(budget, "brute_failed_number")
     if g.n > BRUTE_FORCE_MAX_N:
         raise SearchBudgetExceeded(
             f"brute_failed_number: n={g.n} exceeds the 2^n scan guard "
             f"(n <= {BRUTE_FORCE_MAX_N})")
     full = g.full_mask
-    best_size = -1
-    best: VertexSet = 0
-    for mask in range(1 << g.n):
-        tracker.spend()
-        size = mask.bit_count()
-        if size < best_size:
-            continue
-        if derived_set(g, mask, rule) != full:
-            if size > best_size or (size == best_size and bits(mask) < bits(best)):
-                best_size = size
-                best = mask
-    if best_size < 0:
-        raise AssertionError("unreachable: the empty set never forces n >= 1")
-    return ExtremalResult(best_size, best, "brute-force")
+    for k in range(g.n, -1, -1):
+        for combo in combinations(range(g.n), k):
+            tracker.spend()
+            s = sum(1 << v for v in combo)
+            if derived_set(g, s, rule) != full:
+                return ExtremalResult(k, s, "brute-force")
+    raise AssertionError("unreachable: the empty set never forces n >= 1")

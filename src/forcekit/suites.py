@@ -398,8 +398,8 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
                 singular = shifted_singular_matrix(g, [seed, idx, t, 1])
             laplacian = weighted_laplacian(g, [seed, idx, t, 2])
             reports.append((t, support_implies_failed(
-                singular if t % 2 else sampled, Rule.STANDARD)))
-            reports.append((t, support_implies_failed(laplacian, Rule.PSD)))
+                singular if t % 2 else sampled)))
+            reports.append((t, support_implies_failed(laplacian)))
             if in_table:
                 reports.extend((t, rank_lower_bound_check(spec, table, matrix))
                                for matrix in (sampled, singular, laplacian))

@@ -388,8 +388,7 @@ class TestSupportImpliesFailed:
     def test_random_samples_on_c5(self):
         g = fam("cycle:5")
         for seed in range(50):
-            rep = support_implies_failed(sample_pattern_matrix(g, seed),
-                                         Rule.STANDARD)
+            rep = support_implies_failed(sample_pattern_matrix(g, seed))
             assert rep.passed
 
     def test_singular_matrices_on_families(self):
@@ -397,8 +396,7 @@ class TestSupportImpliesFailed:
                      "halfgraph:3"):
             g = fam(text)
             for seed in range(20):
-                rep = support_implies_failed(
-                    shifted_singular_matrix(g, seed), Rule.STANDARD)
+                rep = support_implies_failed(shifted_singular_matrix(g, seed))
                 assert rep.passed, (text, seed)
 
     def test_laplacians_under_psd_rule(self):
@@ -406,45 +404,54 @@ class TestSupportImpliesFailed:
                      "empty:2+path:3"):
             g = fam(text)
             for seed in range(20):
-                rep = support_implies_failed(weighted_laplacian(g, seed),
-                                             Rule.PSD)
+                rep = support_implies_failed(weighted_laplacian(g, seed))
                 assert rep.passed, (text, seed)
 
     def test_isolated_vertex_certificate(self):
         # diag(0, 1) on two isolated vertices: kernel e1, zero set {1}
         g = fam("empty:2")
         m = PatternMatrix(g, diagonal(0, 1))
-        rep = support_implies_failed(m, Rule.STANDARD)
+        rep = support_implies_failed(m)
         assert rep.passed
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        """The zero sets passed to is_failed_set, in order; the sets in
-        ``forcing`` are reported as forcing."""
+        """The zero sets passed to is_failed_set, in order, and the rule
+        of each; the sets in ``forcing`` are reported as forcing."""
         calls = []
+        rules = []
         forcing = set()
 
         def recording(g, zero_set, rule):
             calls.append(zero_set)
+            rules.append(rule)
             return zero_set not in forcing and is_failed_set(g, zero_set, rule)
 
         monkeypatch.setattr(linalg, "is_failed_set", recording)
-        return calls, forcing
+        return calls, forcing, rules
+
+    def test_psd_flag_picks_rule_and_theorem(self, checked):
+        _, _, rules = checked
+        g = fam("path:3")
+        rep = support_implies_failed(weighted_laplacian(g, 0))
+        assert (rules, rep.theorem) == ([Rule.PSD], "Prop 2.12")
+        rules.clear()
+        rep = support_implies_failed(sample_pattern_matrix(g, 11))  # singular
+        assert (rules, rep.theorem) == ([Rule.STANDARD], "Cor 2.10")
 
     def test_each_distinct_zero_set_checked_once(self, checked):
         # kernel e0, e1: the zero sets of the basis are distinct, and each
         # is checked once, in basis order
-        calls, _ = checked
+        calls, _, _ = checked
         m = PatternMatrix(fam("empty:3"), diagonal(0, 0, 1))
-        rep = support_implies_failed(m, Rule.STANDARD)
+        rep = support_implies_failed(m)
         assert rep.passed
         assert rep.observed == "every zero set failed"
         assert calls == [0b110, 0b101]
 
     def test_one_zero_set_for_a_connected_laplacian(self, checked):
-        calls, _ = checked
-        rep = support_implies_failed(weighted_laplacian(fam("wheel:6"), 1),
-                                     Rule.PSD)
+        calls, _, _ = checked
+        rep = support_implies_failed(weighted_laplacian(fam("wheel:6"), 1))
         assert rep.observed == "every zero set failed"
         assert calls == [0]
 
@@ -458,19 +465,14 @@ class TestSupportImpliesFailed:
 
     @pytest.mark.parametrize("forces", [0b110, 0b100])
     def test_forcing_zero_set_is_named(self, checked, forces):
-        calls, forcing = checked
+        calls, forcing, _ = checked
         forcing.add(forces)
         text, entries = self._KERNELS[forces]
         m = PatternMatrix(fam(text), entries)
-        rep = support_implies_failed(m, Rule.STANDARD)
+        rep = support_implies_failed(m)
         assert not rep.passed
         assert rep.observed == f"zero set {forces:#x} of a kernel vector forces"
         assert calls == [forces] and len(kernel_basis(m)) == 2
-
-    def test_psd_rule_needs_psd_matrix(self):
-        g = fam("path:3")
-        with pytest.raises(PatternMismatchError):
-            support_implies_failed(sample_pattern_matrix(g, 0), Rule.PSD)
 
     def test_suite_samples_name_their_instance_and_trial(self, monkeypatch):
         # With every certificate failing, each instance keeps up to five

@@ -376,6 +376,29 @@ class TestBruteOracle:
     def test_agrees_with_fort_search_property(self, g, rule):
         assert failed_number(g, rule).value == brute_failed_number(g, rule).value
 
+    @pytest.mark.parametrize("rule", BOTH)
+    def test_witness_is_least_largest_failed_set(self, rule):
+        # every labeled graph with n <= 5, against all 2^n sets tested with
+        # the asynchronous closure
+        for n in range(1, 6):
+            for edges in range(1 << (n * (n - 1) // 2)):
+                g = graph_from_edge_mask(n, edges)
+                failed = [s for s in range(1 << n)
+                          if reference_closure(g, s, rule) != g.full_mask]
+                want = min(failed, key=lambda s: (-s.bit_count(), bits(s)))
+                res = brute_failed_number(g, rule)
+                assert (res.value, res.witness) == (want.bit_count(), want), \
+                    (n, edges)
+
+    @pytest.mark.parametrize("text,sets", [("path:4", 13), ("wheel:6", 24)])
+    def test_budget_counts_sets_tested(self, text, sets):
+        # path:4 tests 1 + 4 + 6 sets that force, then {0} and {1}, which
+        # fails; wheel:6 tests 1 + 6 + 15, then its first two 3-sets
+        g = fam(text)
+        brute_failed_number(g, Rule.STANDARD, sets)
+        with pytest.raises(SearchBudgetExceeded):
+            brute_failed_number(g, Rule.STANDARD, sets - 1)
+
 
 class TestMaximalFailed:
     def test_two_isolated_vertices(self):

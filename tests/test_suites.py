@@ -17,6 +17,7 @@ import pytest
 import forcekit
 import forcekit.formulas as formulas
 import forcekit.suites as suites
+from forcekit.cli import main
 from forcekit.forcing import Rule
 from forcekit.graphs import (
     Graph,
@@ -349,7 +350,8 @@ class TestLinalgSuite:
         rank_calls = []
         trials_begun = []
 
-        def certificate(matrix, rule):
+        def certificate(matrix):
+            rule = Rule.PSD if matrix.psd else Rule.STANDARD
             # each trial checks its standard certificate first
             if rule is Rule.STANDARD:
                 trials_begun.append(matrix)
@@ -387,12 +389,13 @@ class TestLinalgSuite:
 
 
 class TestTable51Lookups:
-    """A suite looks up each instance's Table 5.1 record once and hands it
-    to the checks that read it."""
+    """A suite, or ``analyze``, looks up each instance's Table 5.1 record
+    once and hands it to the code that reads it."""
 
     @pytest.mark.parametrize("run,instances", [
         (lambda: run_characterizations(max_n=8), 70),
         (lambda: run_linalg(0, trials=2, max_n=12), 100),
+        (lambda: main(["analyze", "--family", "halfgraph:4", "--json"]), 1),
     ])
     def test_one_lookup_per_instance(self, monkeypatch, run, instances):
         original = formulas.table51_lookup
