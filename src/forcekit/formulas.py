@@ -8,7 +8,8 @@ case of F+ < Z+) are coded once, as the rows of TABLE1, TABLE2 and TABLE51.
 published result it encodes (e.g. "Thm 3.6") and whether it is exact or
 only a lower bound.  The only lower bounds are the hypercube failed numbers
 for dimension >= 3 and the unions with such a member; everything else is
-exact on its family range.
+exact on its family range.  Every prediction is a function of the family
+kind and its parameters: none builds a graph.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .forcing import Rule
-from .graphs import FamilySpec, build_family, has_module_order2
+from .graphs import FamilySpec
 
 EXACT = "exact"
 LOWER_BOUND = "lower-bound"
@@ -161,7 +162,7 @@ class Table51Row:
     their maximum nullities and forcing numbers (M, Z, M+, Z+), Thm 5.2's
     case for them (``fplus_lt_zplus``: whether F+ < Z+), and which of these
     claims ("Z", "Zplus", "Thm 5.2") are known to disagree with the graphs
-    that ``build_family`` generates.  ``values`` and ``fplus_lt_zplus`` are
+    that ``graphs.py`` generates.  ``values`` and ``fplus_lt_zplus`` are
     constants or functions of the parameters."""
 
     kind: str
@@ -174,7 +175,7 @@ class Table51Row:
 # K_{1,1} = P_2, H_1 = P_2 and H_2 = P_4 take the path values, not the formulas.
 #
 # Known discrepancy: Table 5.1 gives Z = Z+ = s for the half-graph H_s, but
-# on the half-graph build_family generates (a and s+b adjacent iff a <= b,
+# on the half-graph graphs.py generates (a and s+b adjacent iff a <= b,
 # as the failed-number results need) the search finds s - 1; in H_3 the two
 # least vertices of the second part force everything.  So Thm 5.2's case
 # "F+ < Z+ iff s <= 3" fails at s = 3 (F+ = Z+ = 2).  The suites report the
@@ -237,11 +238,10 @@ def compose_disconnected(components: list[tuple[int, int]]) -> int:
 
 
 def _tree_F(spec: FamilySpec) -> int:
-    # F = n - 2 holds exactly when the tree has a module of order 2; the
-    # level-filled instances lacking one are paths (only m=2 with n in
-    # {1, 4}), where the path formula applies instead.
-    n = spec.params[1]
-    return n - 2 if has_module_order2(build_family(spec)) else _path_failed(n)
+    # F = n - 2 iff the tree has a module of order 2; the only level-filled
+    # trees lacking one are the paths n = 1 and (m, n) = (2, 4).
+    m, n = spec.params
+    return _path_failed(n) if n == 1 or (m, n) == (2, 4) else n - 2
 
 
 @dataclass(frozen=True)

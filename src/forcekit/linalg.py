@@ -32,7 +32,7 @@ from itertools import chain
 from math import gcd
 
 from .forcing import Rule, is_failed_set
-from .graphs import FamilySpec, Graph
+from .graphs import Graph
 from .theorems import TheoremReport
 
 RANK_BOUND = "Table 5.1 rank bound"
@@ -260,14 +260,13 @@ def support_implies_failed(matrix: PatternMatrix) -> TheoremReport:
                          "every zero set failed", True)
 
 
-def rank_lower_bound_check(spec: FamilySpec, table,
-                           matrix: PatternMatrix) -> TheoremReport:
+def rank_lower_bound_check(table, matrix: PatternMatrix) -> TheoremReport:
     """Every matrix fitting the pattern has rank >= the tabulated minimum
     rank of the family (and >= the PSD minimum rank when the matrix is
-    positive semidefinite).  ``table`` is the spec's Table 5.1 record
-    (``formulas.table51_lookup``); its ``mr`` and ``mrplus`` are read."""
-    rank = matrix_rank(matrix)
+    positive semidefinite).  ``table`` is the family's Table 5.1 record
+    (``formulas.table51_lookup``); the report is named after the matrix."""
+    n, rank = matrix.graph.n, matrix_rank(matrix)
     label, bound = ("mr+", table.mrplus) if matrix.psd else ("mr", table.mr)
-    return TheoremReport(RANK_BOUND, spec.label(),
+    return TheoremReport(RANK_BOUND, f"n={n} kernel dim {n - rank}",
                          f"rank >= {label} = {bound}",
                          f"rank = {rank}", rank >= bound)

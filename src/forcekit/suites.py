@@ -401,7 +401,7 @@ def run_linalg(seed: int = 0, trials: int = 100, max_n: int = 12) -> dict:
                 singular if t % 2 else sampled)))
             reports.append((t, support_implies_failed(laplacian)))
             if in_table:
-                reports.extend((t, rank_lower_bound_check(spec, table, matrix))
+                reports.extend((t, rank_lower_bound_check(table, matrix))
                                for matrix in (sampled, singular, laplacian))
         rank_ok = sum(r.passed for _, r in reports if r.theorem == RANK_BOUND)
         support_ok = sum(r.passed for _, r in reports) - rank_ok

@@ -80,6 +80,22 @@ class TestPredictedF:
         pred = predicted_F(spec("marytree:2,4"))
         assert (pred.value, pred.exactness) == (1, EXACT)
 
+    def test_tree_prediction_is_the_twin_definition(self):
+        # Thm 3.6 by its hypothesis, on every order: F = n - 2 when two
+        # vertices u < v have N(u) - v == N(v) - u, and the path value
+        # ceil((n - 2) / 2) otherwise.  The twins are found on Python sets,
+        # not with Graph.twin_pairs, which the F search prunes with.
+        for m in chain(range(2, MAX_VERTICES + 1), [10**30]):
+            for n in range(1, MAX_VERTICES + 1):
+                s = FamilySpec("marytree", (m, n))
+                g = build_family(s)
+                nbrs = [{w for w in range(n) if g.adj[u] >> w & 1}
+                        for u in range(n)]
+                twins = any(nbrs[u] - {v} == nbrs[v] - {u}
+                            for v in range(n) for u in range(v))
+                assert predicted_F(s).value == (
+                    n - 2 if twins else (n - 1) // 2), s
+
     def test_complete_singleton_is_p1(self):
         assert predicted_F(spec("complete:1")).value == 0
         assert predicted_Fplus(spec("complete:1")).value == 0

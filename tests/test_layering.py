@@ -1,7 +1,12 @@
-"""Which module may read Table 5.1 and which may import formulas: the
-suites look up each instance's record once, through
-``formulas.table51_lookup``, and hand it to the checks that read it, so
-the checks in linalg and theorems never look it up themselves."""
+"""The layer graph of ``src/forcekit``, pinned: which forcekit modules each
+file imports, what formulas and linalg take from graphs, and which module
+may read Table 5.1.  The suites look up each instance's record once,
+through ``formulas.table51_lookup``, and hand it to the checks that read
+it, so the checks in linalg and theorems never look it up themselves.
+Predictions read only a family's kind and parameters, so formulas takes
+nothing from graphs but ``FamilySpec``; the certificates and the rank
+bound read only their matrix and record, so linalg takes only ``Graph``.
+A new cross-layer import fails here until the pin is changed with it."""
 
 import ast
 from pathlib import Path
@@ -43,6 +48,39 @@ def test_linalg_imports_nothing_from_formulas():
     assert "formulas" not in _imported_modules(SRC / "linalg.py")
 
 
+def _taken_from(path: Path, module: str) -> set[str]:
+    """The names that ``path`` imports from forcekit's ``module``."""
+    return {alias.name
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").removeprefix("forcekit.") == module
+            for alias in node.names}
+
+
+def test_layer_graph_is_pinned():
+    files = sorted(SRC.glob("*.py"))
+    modules = {f.stem for f in files}
+    assert {f.name: _imported_modules(f) & modules for f in files} == {
+        "__init__.py": {"forcing", "formulas", "graphs", "linalg", "search",
+                        "theorems"},
+        "cli.py": {"forcing", "formulas", "graphs", "search", "suites",
+                   "theorems"},
+        "forcing.py": {"graphs"},
+        "formulas.py": {"forcing", "graphs"},
+        "graphs.py": set(),
+        "linalg.py": {"forcing", "graphs", "theorems"},
+        "search.py": {"forcing", "graphs"},
+        "suites.py": {"forcing", "formulas", "graphs", "linalg", "search",
+                      "theorems"},
+        "theorems.py": {"formulas", "graphs"},
+    }
+
+
+def test_formulas_and_linalg_take_one_name_from_graphs():
+    assert _taken_from(SRC / "formulas.py", "graphs") == {"FamilySpec"}
+    assert _taken_from(SRC / "linalg.py", "graphs") == {"Graph"}
+
+
 def test_only_formulas_suites_and_cli_look_up_table51():
     files = sorted(SRC.glob("*.py"))
     assert files
@@ -61,6 +99,8 @@ def test_guards_see_each_form(tmp_path):
         "from .graphs import Graph\n"
         "z = formulas.table51_lookup\n")
     assert _imported_modules(path) == {"formulas", "graphs", "search"}
+    assert _taken_from(path, "formulas") == {"x", "y"}
+    assert _taken_from(path, "graphs") == {"Graph"}
     assert "table51_lookup" in _names(path)
     path.write_text('"""table51_lookup is named only in this docstring."""\n')
     assert "table51_lookup" not in _names(path)

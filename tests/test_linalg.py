@@ -497,21 +497,23 @@ class TestRankBound:
         spec = parse_family("path:8")
         g, table = build_family(spec), table51_lookup(spec)
         for seed in range(20):
-            rep = rank_lower_bound_check(spec, table, sample_pattern_matrix(g, seed))
+            rep = rank_lower_bound_check(table, sample_pattern_matrix(g, seed))
             assert rep.passed
 
     def test_complete_graphs(self):
         spec = parse_family("complete:5")
         g, table = build_family(spec), table51_lookup(spec)
         for seed in range(20):
-            rep = rank_lower_bound_check(spec, table, shifted_singular_matrix(g, seed))
+            rep = rank_lower_bound_check(table, shifted_singular_matrix(g, seed))
             assert rep.passed
 
     def test_c6_laplacian(self):
         spec = parse_family("cycle:6")
         m = weighted_laplacian(build_family(spec), seed=2)
         assert matrix_rank(m) == 5
-        assert rank_lower_bound_check(spec, table51_lookup(spec), m).passed  # 5 >= mr = 4
+        rep = rank_lower_bound_check(table51_lookup(spec), m)
+        assert rep.passed  # 5 >= mr = 4
+        assert rep.graph == "n=6 kernel dim 1"
 
 
 class TestSerialization:

@@ -359,11 +359,11 @@ class TestLinalgSuite:
             return TheoremReport(rule.value, f"instance {idx}", "-", f"t={t}",
                                  rule is Rule.STANDARD)
 
-        def rank_bound(spec, table, matrix):
+        def rank_bound(table, matrix):
             assert table.mr == table.mrplus == 0  # path:1's record
-            rank_calls.append(spec)
-            return TheoremReport("Table 5.1 rank bound", spec.label(), "-",
-                                 f"call {len(rank_calls)}", False)
+            rank_calls.append(matrix)
+            return TheoremReport("Table 5.1 rank bound", f"n={matrix.graph.n}",
+                                 "-", f"call {len(rank_calls)}", False)
 
         monkeypatch.setattr(suites, "support_implies_failed", certificate)
         monkeypatch.setattr(suites, "rank_lower_bound_check", rank_bound)
@@ -377,9 +377,9 @@ class TestLinalgSuite:
         assert [(c["graph"], c["observed"]) for c in path] == [
             ("path:1", "4 passed"), ("path:1", "0 held"),
             ("path:1 trial 0: instance 0", "t=0"),
-            ("path:1 trial 0: path:1", "call 1"),
-            ("path:1 trial 0: path:1", "call 2"),
-            ("path:1 trial 0: path:1", "call 3"),
+            ("path:1 trial 0: n=1", "call 1"),
+            ("path:1 trial 0: n=1", "call 2"),
+            ("path:1 trial 0: n=1", "call 3"),
             ("path:1 trial 1: instance 0", "t=1")]
 
     def test_deterministic(self):
