@@ -1,9 +1,9 @@
 """Color-change rules and set classification.
 
-The derived set is reached in synchronous rounds: each round colors every
-white vertex that some blue vertex forces against the coloring at its
-start.  Both rules are monotone, so the final coloring is the same in
-whatever order the forces are applied.
+The derived set is reached one force at a time: ``_force`` finds one
+white vertex that some blue vertex forces, it turns blue, and the scan
+repeats until no force applies.  Both rules are monotone, so the final
+coloring is the same in whatever order the forces are applied.
 
 A fort is a nonempty white set that admits no force, the complement of a
 stalled set; ``is_fort`` is the one predicate, and ``is_stalled`` asks it
@@ -34,10 +34,9 @@ def _check_subset(g: Graph, blue: VertexSet) -> None:
 _STANDARD = Rule.STANDARD
 
 
-def _forced(g: Graph, blue: VertexSet, rule: Rule,
-            first: bool = False) -> VertexSet:
-    """The white vertices that some blue vertex forces against the current
-    coloring; with first, only the first force found.
+def _force(g: Graph, blue: VertexSet, rule: Rule) -> VertexSet:
+    """The first force the scan finds against the current coloring: the
+    forced white vertex as a one-bit mask, or 0 when no force applies.
 
     A blue vertex forces a white vertex when that is its only white
     neighbor in the scope: the whole white set under the standard rule,
@@ -48,7 +47,6 @@ def _forced(g: Graph, blue: VertexSet, rule: Rule,
     """
     adj = g.adj
     white = g.full_mask & ~blue
-    forced = 0
     if rule is _STANDARD:
         b = blue
         while b:
@@ -56,10 +54,8 @@ def _forced(g: Graph, blue: VertexSet, rule: Rule,
             b ^= lsb
             m = adj[lsb.bit_length() - 1] & white
             if m and not m & (m - 1):
-                if first:
-                    return m
-                forced |= m
-        return forced
+                return m
+        return 0
     rest = white  # the white vertices no walk has reached yet
     while rest:
         comp = frontier = rest & -rest
@@ -79,17 +75,8 @@ def _forced(g: Graph, blue: VertexSet, rule: Rule,
             b ^= lsb
             m = adj[lsb.bit_length() - 1] & comp  # never 0: b borders comp
             if not m & (m - 1):
-                if first:
-                    return m
-                forced |= m
-    return forced
-
-
-def can_force_into(g: Graph, white: VertexSet, rule: Rule) -> bool:
-    """True when some color change applies while exactly the vertices of
-    white are white; returns at the first force found.  A nonempty white
-    set is a fort exactly when this is False."""
-    return bool(_forced(g, g.full_mask & ~white, rule, True))
+                return m
+    return 0
 
 
 def is_fort(g: Graph, w: VertexSet, rule: Rule) -> bool:
@@ -99,13 +86,13 @@ def is_fort(g: Graph, w: VertexSet, rule: Rule) -> bool:
     PSD rule: the same holds within each connected component of G[w].
     """
     _check_subset(g, w)
-    return w != 0 and not can_force_into(g, w, rule)
+    return w != 0 and not _force(g, g.full_mask & ~w, rule)
 
 
 def derived_set(g: Graph, blue: VertexSet, rule: Rule) -> VertexSet:
     """The final coloring reached from blue (the hot path of the searches)."""
     _check_subset(g, blue)
-    while forced := _forced(g, blue, rule):
+    while forced := _force(g, blue, rule):
         blue |= forced
     return blue
 

@@ -220,6 +220,15 @@ class FamilySpec:
         return f"{self.kind}:" + ",".join(str(p) for p in self.params)
 
 
+def _decimal(text: str) -> int:
+    """An optionally signed ASCII decimal, spaces around it allowed; a
+    ValueError otherwise (int() alone also takes "_" and non-ASCII digits)."""
+    digits = text.strip().lstrip("+-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_family(text: str) -> FamilySpec:
     """Parse the family DSL, e.g. ``"wheel:7"`` or ``"cycle:3+path:2"``."""
     parts = [p.strip() for p in text.split("+")]
@@ -232,7 +241,7 @@ def parse_family(text: str) -> FamilySpec:
         if kind == "union":  # the DSL writes a union with "+"
             raise FamilyError(f"unknown family kind {kind!r}")
         try:
-            params = tuple(int(x) for x in arg.split(","))
+            params = tuple(_decimal(x) for x in arg.split(","))
         except ValueError:
             raise FamilyError(f"non-integer parameter in {part!r}") from None
         specs.append(FamilySpec(kind, params))
@@ -346,7 +355,7 @@ def parse_graph(text: str) -> Graph:
     if len(header) != 2:
         raise GraphFormatError(f"bad header {lines[0]!r}, expected 'n m'")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = _decimal(header[0]), _decimal(header[1])
     except ValueError:
         raise GraphFormatError(f"non-integer header {lines[0]!r}") from None
     if not 1 <= n <= MAX_VERTICES:
@@ -360,7 +369,7 @@ def parse_graph(text: str) -> Graph:
         if len(fields) != 2:
             raise GraphFormatError(f"bad edge line {ln!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _decimal(fields[0]), _decimal(fields[1])
         except ValueError:
             raise GraphFormatError(f"non-integer edge line {ln!r}") from None
         if u == v:

@@ -4,13 +4,13 @@ Minimum forcing sets come from a depth-first branch-and-bound over subsets
 pruned by closures.  Maximum failed sets come from minimum-fort search: a
 fort is a nonempty vertex set W whose complement is stalled, so the failed
 number is n - |minimum fort|, found by a depth-first search that prunes
-with necessary conditions of the fort definition.  The fort predicate
-itself, ``is_fort``, lives in ``forcing`` beside ``can_force_into``.  The
-independent oracle, ``brute_failed_number``, tests the vertex sets by
-definition, sizes from n down and each size's sets in ``combinations``
-order.  Every larger set was tested and forces, and ``combinations``
-meets the sets of one size in lexicographic order, so the first failed set
-found is the lexicographically least largest one.
+with necessary conditions of the fort definition and tests each leaf with
+``forcing.is_fort``, the one fort predicate.  The independent oracle,
+``brute_failed_number``, tests the vertex sets by definition, sizes from n
+down and each size's sets in ``combinations`` order.  Every larger set was
+tested and forces, and ``combinations`` meets the sets of one size in
+lexicographic order, so the first failed set found is the
+lexicographically least largest one.
 
 Both searches skip relabelings of twins.  Two vertices u < v are twins when
 N(u) - v == N(v) - u; swapping them is an automorphism, so the forcing sets
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .forcing import Rule, can_force_into, derived_set
+from .forcing import Rule, derived_set, is_fort
 from .graphs import Graph, VertexSet, bits, component_reaches
 from .graphs import components_within  # noqa: F401  (traced by perfbench/tracing.py)
 
@@ -192,7 +192,7 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
     A vertex is chosen only after its previous twin (see the module
     docstring).  One child loop serves every node: a child with vertices
     still to choose is a ``grow`` call, and a leaf is tested in the loop
-    with ``can_force_into``.  Every node, and every leaf tested, spends one
+    with ``is_fort``.  Every node, and every leaf tested, spends one
     unit of budget.  A fort always exists: the full vertex set is one (its
     complement is the stalled empty coloring).
     """
@@ -234,7 +234,7 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
                     return found
             else:  # a leaf: one unit; a grow call per leaf was slower
                 tracker.spend()
-                if not can_force_into(g, chosen | bit, rule):
+                if is_fort(g, chosen | bit, rule):
                     return chosen | bit
         return None
 
@@ -269,6 +269,7 @@ def brute_failed_number(g: Graph, rule: Rule,
             f"(n <= {BRUTE_FORCE_MAX_N})")
     full = g.full_mask
     for k in range(g.n, -1, -1):
+        tracker.progress = f"; testing sets of {_vertices(k)}, none larger is failed"
         for combo in combinations(range(g.n), k):
             tracker.spend()
             s = sum(1 << v for v in combo)

@@ -89,8 +89,8 @@ def _neighbor_sets(g: Graph) -> list[set[int]]:
 
 
 def reference_closure(g, blue, rule):
-    """Asynchronous oracle: apply one valid force at a time using python
-    sets; the derived coloring must match the synchronous engine."""
+    """Oracle on python sets: apply one valid force at a time until none
+    applies; the derived coloring must match the forcing kernel's."""
     nbrs = _neighbor_sets(g)
     blue_set = set(bits(blue))
     while True:

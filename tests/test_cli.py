@@ -133,6 +133,8 @@ class TestAnalyze:
         ("2 1\n0 1 2\n", "bad edge line '0 1 2'"),
         ("2 1\n0\n", "bad edge line '0'"),
         ("2 1\n0 x\n", "non-integer edge line '0 x'"),
+        ("2 1\n0 1_0\n", "non-integer edge line '0 1_0'"),
+        ("3 1\n0 \u0662\n", "non-integer edge line '0 \u0662'"),
     ])
     def test_malformed_edge_line_exits_2(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.txt"

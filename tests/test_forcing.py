@@ -6,17 +6,18 @@ from hypothesis import strategies as st
 
 from forcekit.forcing import (
     Rule,
+    _force,
     derived_set,
     is_failed_set,
     is_forcing_set,
     is_fort,
     is_stalled,
 )
-from forcekit.graphs import build_family, parse_family
+from forcekit.graphs import bits, build_family, parse_family
 from forcekit.suites import _edge_mask_classes
 
-from conftest import graph_from_edge_mask, graph_with_subset, graphs, \
-    reference_closure
+from conftest import _neighbor_sets, _set_components, graph_from_edge_mask, \
+    graph_with_subset, graphs, reference_closure
 
 BOTH = (Rule.STANDARD, Rule.PSD)
 
@@ -38,7 +39,8 @@ class TestStep:
         assert derived_set(fam("path:3"), 0b010, Rule.PSD) == 0b111
 
     def test_simultaneous_not_sequential(self):
-        # 0-1-2-3 with blue {1,2}: both endpoints forced in one round
+        # 0-1-2-3 with blue {1,2}: each endpoint is forced by its blue
+        # neighbor, neither force waiting on the other
         assert derived_set(fam("path:4"), 0b0110, Rule.STANDARD) == 0b1111
 
     def test_rejects_stray_bits(self):
@@ -105,20 +107,33 @@ class TestClosure:
         # every labeled graph with n <= 5, and one graph from each of the
         # 156 isomorphism classes of order 6 (whose white sets often have
         # three or more components), every subset, both rules: the
-        # synchronous rounds reach the async oracle's coloring, and a set
-        # is stalled exactly when the oracle leaves it as it is
+        # one-force-at-a-time closure reaches the oracle's coloring, and a
+        # set is stalled exactly when the oracle leaves it as it is.  The
+        # kernel returns 0 exactly then, and otherwise one white vertex
+        # that is some blue vertex's only white neighbor in its scope
         small = [graph_from_edge_mask(n, edges) for n in range(1, 6)
                  for edges in range(1 << (n * (n - 1) // 2))]
         order6 = [graph_from_edge_mask(6, edges)
                   for edges, _ in _edge_mask_classes(6)]
         cases = 0
         for g in small + order6:
+            nbrs = _neighbor_sets(g)
             for sub in range(g.full_mask + 1):
+                blue = set(bits(sub))
+                white = set(range(g.n)) - blue
                 for rule in BOTH:
                     ref = reference_closure(g, sub, rule)
                     assert derived_set(g, sub, rule) == ref
                     assert is_stalled(g, sub, rule) == (
                         ref == sub and sub != g.full_mask)
+                    forced = _force(g, sub, rule)
+                    assert (forced == 0) == (ref == sub)
+                    if forced:
+                        assert not forced & (forced - 1) and not forced & sub
+                        v = forced.bit_length() - 1
+                        scope = white if rule is Rule.STANDARD else next(
+                            c for c in _set_components(nbrs, white) if v in c)
+                        assert any(nbrs[u] & scope == {v} for u in blue)
                     cases += 1
         assert cases == 67_732 + 19_968
 

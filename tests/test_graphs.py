@@ -181,7 +181,8 @@ class TestFamilies:
             parse_family(text)
 
     @pytest.mark.parametrize("text", ["wheel", "wheel:x", "biclique:3",
-                                      "frob:3", "path:4+path:70"])
+                                      "frob:3", "path:4+path:70",
+                                      "path:1_0", "path:\u0663"])
     def test_bad_syntax(self, text):
         with pytest.raises(FamilyError):
             parse_family(text)

@@ -1,11 +1,14 @@
 """The layer graph of ``src/forcekit``, pinned: which forcekit modules each
-file imports, what formulas and linalg take from graphs, and which module
-may read Table 5.1.  The suites look up each instance's record once,
-through ``formulas.table51_lookup``, and hand it to the checks that read
-it, so the checks in linalg and theorems never look it up themselves.
+file imports, what formulas and linalg take from graphs, what search takes
+from forcing, and which module may read Table 5.1.  The suites look up
+each instance's record once, through ``formulas.table51_lookup``, and hand
+it to the checks that read it, so the checks in linalg and theorems never
+look it up themselves.
 Predictions read only a family's kind and parameters, so formulas takes
 nothing from graphs but ``FamilySpec``; the certificates and the rank
 bound read only their matrix and record, so linalg takes only ``Graph``.
+The searches reach the forcing kernel only through ``derived_set`` and
+``is_fort``, the one fort predicate.
 A new cross-layer import fails here until the pin is changed with it."""
 
 import ast
@@ -79,6 +82,11 @@ def test_layer_graph_is_pinned():
 def test_formulas_and_linalg_take_one_name_from_graphs():
     assert _taken_from(SRC / "formulas.py", "graphs") == {"FamilySpec"}
     assert _taken_from(SRC / "linalg.py", "graphs") == {"Graph"}
+
+
+def test_searches_reach_the_forcing_kernel_through_two_names():
+    assert _taken_from(SRC / "search.py", "forcing") == {
+        "Rule", "derived_set", "is_fort"}
 
 
 def test_only_formulas_suites_and_cli_look_up_table51():

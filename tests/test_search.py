@@ -396,7 +396,9 @@ class TestBruteOracle:
         # fails; wheel:6 tests 1 + 6 + 15, then its first two 3-sets
         g = fam(text)
         brute_failed_number(g, Rule.STANDARD, sets)
-        with pytest.raises(SearchBudgetExceeded):
+        size = {"path:4": "1 vertex", "wheel:6": "3 vertices"}[text]
+        with pytest.raises(SearchBudgetExceeded,
+                           match=f"testing sets of {size}, none larger is failed"):
             brute_failed_number(g, Rule.STANDARD, sets - 1)
 
 
