@@ -28,6 +28,7 @@ from .graphs import (
     FamilyError,
     FamilySpec,
     GraphFormatError,
+    _decimal,
     build_family,
     parse_family,
     parse_graph,
@@ -54,6 +55,15 @@ EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value: an ASCII decimal, as the family DSL takes
+    (argparse's int() also takes "1_0" and non-ASCII digits)."""
+    try:
+        return _decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # built on first use, then shared: parse_args keeps no state in it
@@ -71,20 +81,20 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--params", default="Z,F",
                     help="comma list from {Z,F} (default both)")
     an.add_argument("--json", action="store_true")
-    an.add_argument("--budget", type=int, default=None,
+    an.add_argument("--budget", type=_integer, default=None,
                     help=f"search node cap (default {DEFAULT_BUDGET:,})")
     an.add_argument("--timings", action="store_true",
                     help="include wall-time fields (breaks byte determinism)")
 
     ve = sub.add_parser("verify", help="run a verification suite")
     ve.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    ve.add_argument("--max-n", type=int, default=None)
-    ve.add_argument("--seed", type=int, default=None)
+    ve.add_argument("--max-n", type=_integer, default=None)
+    ve.add_argument("--seed", type=_integer, default=None)
     ve.add_argument("--json", action="store_true")
-    ve.add_argument("--budget", type=int, default=None)
+    ve.add_argument("--budget", type=_integer, default=None)
 
     ta = sub.add_parser("table", help="render a failed-number summary table")
-    ta.add_argument("--which", type=int, choices=(1, 2), required=True)
+    ta.add_argument("--which", type=_integer, choices=(1, 2), required=True)
     return parser
 
 
@@ -122,26 +132,31 @@ def _analyze(args) -> int:
         g = parse_graph(text)
         description = f"file:{args.file}"
 
-    computed: list[dict] = []
+    entries: dict[tuple[Rule, str], dict] = {}
     values: dict[tuple[str, str], int] = {}
     rules = list(Rule) if args.rule == "both" else [Rule(args.rule)]
-    for rule in rules:
-        for param in params:
-            search = zero_forcing_number if param == "Z" else failed_number
-            start = time.perf_counter()
-            res = search(g, rule, args.budget)
-            elapsed = time.perf_counter() - start
-            entry = {
-                "rule": rule.value,
-                "parameter": param if rule is Rule.STANDARD else param + "plus",
-                "value": res.value,
-                "witness": res.witness_vertices(),
-                "method": res.method,
-            }
-            if args.timings:
-                entry["seconds"] = round(elapsed, 6)
-            computed.append(entry)
-            values[(rule.value, param)] = res.value
+    asked = [(rule, param) for rule in rules for param in params]
+    # Z+ <= Z, so Z+ runs first and floors the Z search when both are asked
+    for rule, param in sorted(asked, key=lambda key: key != (Rule.PSD, "Z")):
+        start = time.perf_counter()
+        if param == "Z":
+            res = zero_forcing_number(g, rule, args.budget,
+                                      floor=values.get(("psd", "Z"), 0))
+        else:
+            res = failed_number(g, rule, args.budget)
+        elapsed = time.perf_counter() - start
+        entry = {
+            "rule": rule.value,
+            "parameter": param if rule is Rule.STANDARD else param + "plus",
+            "value": res.value,
+            "witness": res.witness_vertices(),
+            "method": res.method,
+        }
+        if args.timings:
+            entry["seconds"] = round(elapsed, 6)
+        entries[(rule, param)] = entry
+        values[(rule.value, param)] = res.value
+    computed = [entries[key] for key in asked]
 
     checks = check_failed_bounds(
         g.n, description, f=values.get(("standard", "F")),

@@ -1,11 +1,12 @@
 """Exact extremal search: minimum forcing sets and maximum failed sets.
 
 Minimum forcing sets come from a depth-first branch-and-bound over subsets
-pruned by closures.  Maximum failed sets come from minimum-fort search: a
-fort is a nonempty vertex set W whose complement is stalled, so the failed
-number is n - |minimum fort|, found by a depth-first search that prunes
-with necessary conditions of the fort definition and tests each leaf with
-``forcing.is_fort``, the one fort predicate.  The independent oracle,
+pruned by closures; given a proven lower bound, a floor, it stops at the
+first forcing set of that size.  Maximum failed sets come from minimum-fort
+search: a fort is a nonempty vertex set W whose complement is stalled, so
+the failed number is n - |minimum fort|, found by a depth-first search
+that prunes with necessary conditions of the fort definition and tests
+each leaf with ``forcing.is_fort``, the one fort predicate.  The independent oracle,
 ``brute_failed_number``, tests the vertex sets by definition, sizes from n
 down and each size's sets in ``combinations`` order.  Every larger set was
 tested and forces, and ``combinations`` meets the sets of one size in
@@ -90,8 +91,8 @@ class ExtremalResult:
         return bits(self.witness)
 
 
-def zero_forcing_number(g: Graph, rule: Rule,
-                        budget: int | None = None) -> ExtremalResult:
+def zero_forcing_number(g: Graph, rule: Rule, budget: int | None = None,
+                        *, floor: int = 0) -> ExtremalResult:
     """Smallest k admitting a forcing set of size k, with the
     lexicographically least witness.
 
@@ -104,6 +105,15 @@ def zero_forcing_number(g: Graph, rule: Rule,
     sets of one size in lexicographic order, so the first one of minimum
     size found is the least.  A child's closure is cl(cl(S) + v), which is
     cl(S + v).
+
+    floor is a proven lower bound on the answer: the search returns as soon
+    as its incumbent has floor vertices.  That set is the first forcing set
+    of its size that preorder meets, so the least one, and the bound proves
+    it minimum: the value and witness stay those of the unfloored search,
+    and only the node count falls.  A floor above the true value gives a
+    wrong answer.  This package passes only Z+, the PSD value, as the floor
+    of a standard search: every standard force is a PSD force, so
+    Z+ <= Z.
     """
     tracker = _Budget(budget, "zero_forcing_number",
                       "; no forcing set found yet")
@@ -121,7 +131,7 @@ def zero_forcing_number(g: Graph, rule: Rule,
             tracker.progress = f"; smallest forcing set so far: {_vertices(size)}"
             return
         for v in range(last + 1, n):
-            if size + 1 >= best:
+            if size + 1 >= best or best <= floor:
                 return
             if not cl & (1 << v) and not prev[v] & ~prefix:
                 extend(prefix | (1 << v), cl | (1 << v), v, size + 1)

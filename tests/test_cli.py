@@ -11,7 +11,9 @@ import forcekit
 import forcekit.cli as cli
 import forcekit.suites as suites
 from forcekit.cli import main
+from forcekit.forcing import Rule
 from forcekit.graphs import build_family
+from forcekit.search import zero_forcing_number
 
 
 # The full stdout of `forcekit table`, row by row.
@@ -422,6 +424,68 @@ class TestMismatch:
         for check in result["checks"]:
             assert set(check) == CHECK_KEYS | {"parameter", "known_discrepancy"}
             assert check["known_discrepancy"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--family", "path:3", "--budget", "1_0"),
+    ("verify", "--suite", "exhaustive6", "--max-n", "\u0663", "--json"),
+    ("verify", "--suite", "disconnected", "--seed", "\u0661", "--json"),
+    ("table", "--which", "\uff11"),
+])
+def test_integer_flags_take_only_ascii_decimals(capsys, argv):
+    # int() reads "1_0" as 10 and the Arabic-Indic and fullwidth digits
+    # as 3, 1 and 1; the family DSL refuses all three
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not a decimal integer" in captured.err
+
+
+@pytest.fixture
+def z_calls(monkeypatch):
+    """(rule, floor, value) of each zero_forcing_number call made by cli
+    and suites, in call order."""
+    calls = []
+
+    def spy(g, rule, budget=None, *, floor=0):
+        res = zero_forcing_number(g, rule, budget, floor=floor)
+        calls.append((rule, floor, res.value))
+        return res
+
+    monkeypatch.setattr(cli, "zero_forcing_number", spy)
+    monkeypatch.setattr(suites, "zero_forcing_number", spy)
+    return calls
+
+
+class TestFloorWiring:
+    """Z+ <= Z: a caller that computes both runs the PSD search first and
+    passes its value as the floor of the standard search."""
+
+    def test_analyze_both_rules(self, capsys, z_calls):
+        code, _, _ = run_cli(capsys, "analyze", "--family", "hypercube:3",
+                             "--json")
+        assert code == 0
+        assert [(rule, floor) for rule, floor, _ in z_calls] == [
+            (Rule.PSD, 0), (Rule.STANDARD, 4)]
+
+    def test_analyze_standard_alone_runs_no_psd_search(self, capsys, z_calls):
+        code, _, _ = run_cli(capsys, "analyze", "--family", "hypercube:3",
+                             "--rule", "standard", "--json")
+        assert code == 0
+        assert [(rule, floor) for rule, floor, _ in z_calls] == [
+            (Rule.STANDARD, 0)]
+
+    @pytest.mark.parametrize("run", [
+        lambda: suites.run_exhaustive(max_n=4),
+        lambda: suites.run_table51(max_n=6),
+    ])
+    def test_suites(self, z_calls, run):
+        assert run()["ok"]
+        assert z_calls and len(z_calls) % 2 == 0
+        for psd, standard in zip(z_calls[::2], z_calls[1::2]):
+            assert psd[:2] == (Rule.PSD, 0)
+            assert standard[:2] == (Rule.STANDARD, psd[2])
 
 
 class TestOneParser:

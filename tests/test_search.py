@@ -15,10 +15,11 @@ from forcekit.forcing import (
     is_stalled,
 )
 from forcekit.formulas import EXACT, predicted_failed
-from forcekit.graphs import bits, build_family, parse_family
+from forcekit.graphs import bits, build_family, graph_from_edges, parse_family
 from forcekit.search import (
     DEFAULT_BUDGET,
     SearchBudgetExceeded,
+    _Budget,
     brute_failed_number,
     failed_number,
     min_fort,
@@ -56,6 +57,25 @@ def twin_prefix_closed(g, s):
                     and set(bits(g.adj[u])) - {v} == set(bits(g.adj[v])) - {u}):
                 return False
     return True
+
+
+def relabeled(g, perm):
+    """g with each vertex v renamed perm[v]."""
+    return graph_from_edges(g.n, sorted(
+        tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()))
+
+
+def small_graphs():
+    """Every labeled graph with n <= 5, then one graph of each isomorphism
+    class of order 6 under three seeded relabelings."""
+    for n in range(1, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            yield graph_from_edge_mask(n, mask)
+    rng = random.Random(29)
+    for edges, _ in _edge_mask_classes(6):
+        g = graph_from_edge_mask(6, edges)
+        for _ in range(3):
+            yield relabeled(g, rng.sample(range(6), 6))
 
 
 def brute_zero_forcing(g, rule):
@@ -169,6 +189,58 @@ class TestZeroForcingNumber:
         # none.
         monkeypatch.setenv("FORCEKIT_BUDGET", "5")
         assert zero_forcing_number(fam("wheel:9"), Rule.STANDARD).value == 3
+
+
+class TestFloor:
+    """A floor of Z+ stops the standard search at its first forcing set of
+    that size: Z+ <= Z, so only the node count may change."""
+
+    @staticmethod
+    def check(g):
+        floor = zero_forcing_number(g, Rule.PSD).value
+        assert (zero_forcing_number(g, Rule.STANDARD, floor=floor)
+                == zero_forcing_number(g, Rule.STANDARD))
+
+    def test_small_graphs(self):
+        for g in small_graphs():
+            self.check(g)
+
+    def test_random_graphs(self):
+        for seed in range(100):
+            self.check(seeded_random_graph(seed, 7 + seed % 7))
+
+    @pytest.mark.parametrize("text,unfloored,floored", [
+        ("hypercube:4", 25_231, 9),
+        ("halfgraph:8", 12_618, 10),
+        ("marytree:3,13", 481, 481),  # Z+ = 1 < Z: the floor never binds
+    ])
+    def test_node_counts(self, monkeypatch, text, unfloored, floored):
+        nodes = 0
+        spend = _Budget.spend
+
+        def counting(tracker):
+            nonlocal nodes
+            nodes += 1
+            spend(tracker)
+
+        monkeypatch.setattr(_Budget, "spend", counting)
+        g = fam(text)
+        floor = zero_forcing_number(g, Rule.PSD).value
+        counts = []
+        for kwargs in ({}, {"floor": floor}):
+            nodes = 0
+            zero_forcing_number(g, Rule.STANDARD, **kwargs)
+            counts.append(nodes)
+        assert counts == [unfloored, floored]
+
+
+def test_least_minimum_psd_forcing_set_holds_vertex_0():
+    # Ekstrand et al. (LAA 2013): every vertex lies in some minimum PSD
+    # forcing set, so the lexicographically least one holds vertex 0.  A
+    # PSD search could then try only 0 at the root; that rule is not in
+    # the search, and this is its oracle.
+    for g in small_graphs():
+        assert zero_forcing_number(g, Rule.PSD).witness & 1, g.edges()
 
 
 @pytest.mark.parametrize("search", [
