@@ -6,8 +6,9 @@ repeats until no force applies.  Both rules are monotone, so the final
 coloring is the same in whatever order the forces are applied.
 
 A fort is a nonempty white set that admits no force, the complement of a
-stalled set; ``is_fort`` is the one predicate, and ``is_stalled`` asks it
-about the complement.
+stalled set; ``is_fort`` is the one predicate: ``is_stalled`` asks it of
+the complement, the PSD fort search of the components it has closed.  A
+rule is a ``Rule`` member, and any other value is a TypeError.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def _check_subset(g: Graph, blue: VertexSet) -> None:
 
 
 # Looking a member up on the enum class costs ~150 ns; the kernels run often.
-_STANDARD = Rule.STANDARD
+_STANDARD, _PSD = Rule.STANDARD, Rule.PSD
 
 
 def _force(g: Graph, blue: VertexSet, rule: Rule) -> VertexSet:
@@ -43,7 +44,7 @@ def _force(g: Graph, blue: VertexSet, rule: Rule) -> VertexSet:
     each connected component of the white subgraph under PSD.  Under PSD
     one breadth-first walk finds a component and its neighbors together,
     and only the blue neighbors are tested: a blue vertex with no neighbor
-    in a component cannot force into it.
+    in a component cannot force into it.  Any other rule is a TypeError.
     """
     adj = g.adj
     white = g.full_mask & ~blue
@@ -56,6 +57,8 @@ def _force(g: Graph, blue: VertexSet, rule: Rule) -> VertexSet:
             if m and not m & (m - 1):
                 return m
         return 0
+    if rule is not _PSD:
+        raise TypeError(f"rule must be a Rule, got {rule!r}")
     rest = white  # the white vertices no walk has reached yet
     while rest:
         comp = frontier = rest & -rest
@@ -86,7 +89,7 @@ def is_fort(g: Graph, w: VertexSet, rule: Rule) -> bool:
     PSD rule: the same holds within each connected component of G[w].
     """
     _check_subset(g, w)
-    return w != 0 and not _force(g, g.full_mask & ~w, rule)
+    return not _force(g, g.full_mask & ~w, rule) and w != 0
 
 
 def derived_set(g: Graph, blue: VertexSet, rule: Rule) -> VertexSet:

@@ -110,6 +110,8 @@ class Graph:
 def graph_from_edges(n: int, edges) -> Graph:
     adj = [0] * n
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
@@ -201,6 +203,8 @@ class FamilySpec:
         if len(self.params) != row.arity:
             raise FamilyError(f"{self.kind} takes {row.arity} parameter(s), "
                               f"got {len(self.params)}")
+        if any(type(p) is not int for p in self.params):
+            raise FamilyError(f"{self.kind} takes int parameters, got {self.params}")
         for holds, message in row.checks:
             if not holds(*self.params):
                 raise FamilyError(message.format(*self.params, kind=self.kind,

@@ -5,8 +5,9 @@ pruned by closures; given a proven lower bound, a floor, it stops at the
 first forcing set of that size.  Maximum failed sets come from minimum-fort
 search: a fort is a nonempty vertex set W whose complement is stalled, so
 the failed number is n - |minimum fort|, found by a depth-first search
-that prunes with necessary conditions of the fort definition and tests
-each leaf with ``forcing.is_fort``, the one fort predicate.  The independent oracle,
+that prunes with necessary conditions of the fort definition.  Its leaves,
+and under PSD its closed components, are tested with ``forcing.is_fort``,
+the one fort predicate.  The independent oracle,
 ``brute_failed_number``, tests the vertex sets by definition, sizes from n
 down and each size's sets in ``combinations`` order.  Every larger set was
 tested and forces, and ``combinations`` meets the sets of one size in
@@ -142,7 +143,7 @@ def zero_forcing_number(g: Graph, rule: Rule, budget: int | None = None,
 
 def _must_include(g: Graph, chosen: VertexSet, must: VertexSet,
                   outside: VertexSet, later: VertexSet,
-                  psd: bool) -> VertexSet | None:
+                  rule: Rule) -> VertexSet | None:
     """Vertices that every fort W with chosen | must <= W <= chosen | later
     and W & outside == 0 contains, or None when no such fort exists.
 
@@ -152,9 +153,9 @@ def _must_include(g: Graph, chosen: VertexSet, must: VertexSet,
     (a) an outside vertex with one neighbor in chosen | must and no
         neighbor in later & ~must keeps that one neighbor in every W: no fort;
     (b) if it has exactly one neighbor u in later & ~must, u is in every W;
-    (c) PSD only: a component of G[chosen | must] with no neighbor in
-        later & ~must is a component of G[W] for every W, so an outside
-        vertex with one neighbor in it leaves no fort.
+    (c) PSD only: a component C of G[chosen | must] with no neighbor in
+        later & ~must is a component of G[W] for every W, and its other
+        neighbors lie outside W, so C must itself be a fort (``is_fort``).
     """
     adj = g.adj
     inside = chosen | must
@@ -176,17 +177,10 @@ def _must_include(g: Graph, chosen: VertexSet, must: VertexSet,
                     inside |= m
                     free ^= m
                     grew = True
-    if psd:
+    if rule is Rule.PSD:
         for comp, reach in component_reaches(g, inside):
-            if reach & free:
-                continue
-            reach &= outside
-            while reach:
-                lsb = reach & -reach
-                reach ^= lsb
-                m = adj[lsb.bit_length() - 1] & comp
-                if not m & (m - 1):
-                    return None
+            if not reach & free and not is_fort(g, comp, rule):
+                return None
     return inside & ~chosen
 
 
@@ -202,15 +196,14 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
     A vertex is chosen only after its previous twin (see the module
     docstring).  One child loop serves every node: a child with vertices
     still to choose is a ``grow`` call, and a leaf is tested in the loop
-    with ``is_fort``.  Every node, and every leaf tested, spends one
-    unit of budget.  A fort always exists: the full vertex set is one (its
-    complement is the stalled empty coloring).
+    with ``is_fort``, as in prune (c) of ``_must_include``.  Every node, and
+    every leaf tested, spends one unit of budget.  A fort always exists:
+    the full vertex set is one (its complement is the stalled empty coloring).
     """
     tracker = _Budget(budget, "min_fort")
     n = g.n
     adj = g.adj
     full = g.full_mask
-    psd = rule is Rule.PSD
     prev = _previous_twins(g)
 
     def grow(chosen: VertexSet, must: VertexSet, nxt: int, left: int,
@@ -222,7 +215,7 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
         outside = ((1 << nxt) - 1) & ~chosen
         if must or outside & reach:
             must = _must_include(g, chosen, must, outside,
-                                 full >> nxt << nxt, psd)
+                                 full >> nxt << nxt, rule)
             if must is None:
                 return None
             need = must.bit_count()

@@ -14,6 +14,7 @@ from forcekit.forcing import (
     is_stalled,
 )
 from forcekit.graphs import bits, build_family, parse_family
+from forcekit.search import brute_failed_number, failed_number, zero_forcing_number
 from forcekit.suites import _edge_mask_classes
 
 from conftest import _neighbor_sets, _set_components, graph_from_edge_mask, \
@@ -184,6 +185,22 @@ class TestStalled:
         g, sub = gs
         fixed = reference_closure(g, sub, rule) == sub
         assert is_stalled(g, sub, rule) == (fixed and sub != g.full_mask)
+
+
+@pytest.mark.parametrize("rule", ["standard", "psd", None, 0])
+@pytest.mark.parametrize("ask", [
+    lambda g, rule: derived_set(g, 0b1, rule),
+    lambda g, rule: is_fort(g, 0b110, rule),
+    lambda g, rule: is_fort(g, 0, rule),
+    lambda g, rule: zero_forcing_number(g, rule),
+    lambda g, rule: failed_number(g, rule),
+    lambda g, rule: brute_failed_number(g, rule),
+], ids=["derived_set", "is_fort", "is_fort_empty", "zero_forcing_number",
+        "failed_number", "brute_failed_number"])
+def test_a_rule_that_is_no_rule_is_a_type_error(ask, rule):
+    # read as PSD, "standard" would give F(C5) = 1, the F+ value; F = 2
+    with pytest.raises(TypeError, match="rule must be a Rule"):
+        ask(fam("cycle:5"), rule)
 
 
 class TestFort:

@@ -85,6 +85,13 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph(64, (0,) * 64)
 
+    @pytest.mark.parametrize("edge", [(0, 5), (-1, 0), (3, 1), (0, -3)])
+    def test_edge_list_refuses_endpoints_outside_the_graph(self, edge):
+        with pytest.raises(ValueError) as exc:
+            graph_from_edges(3, [(0, 1), edge])
+        assert str(exc.value) == \
+            f"edge {edge} has an endpoint outside 0..2"
+
     def test_edges_sorted(self):
         g = fam("cycle:4")
         assert g.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
@@ -243,6 +250,18 @@ class TestFamilyErrors:
         with pytest.raises(FamilyError) as exc:
             FamilySpec("union", members=members)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind,params", [
+        ("path", (3.0,)),
+        ("path", ("3",)),
+        ("path", (True,)),  # a bool is an int, but would be labelled path:True
+        ("biclique", (2, 3.5)),
+        ("marytree", (2, False)),
+    ])
+    def test_spec_takes_only_int_parameters(self, kind, params):
+        with pytest.raises(FamilyError) as exc:
+            FamilySpec(kind, params)
+        assert str(exc.value) == f"{kind} takes int parameters, got {params}"
 
     @pytest.mark.parametrize("text", ["union:3+path:2", "union:3",
                                       "path:2+union:1,2"])

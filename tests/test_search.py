@@ -191,6 +191,20 @@ class TestZeroForcingNumber:
         assert zero_forcing_number(fam("wheel:9"), Rule.STANDARD).value == 3
 
 
+@pytest.fixture
+def spent(monkeypatch):
+    """A one-item list that counts every budget unit a search spends."""
+    count = [0]
+    spend = _Budget.spend
+
+    def counting(tracker):
+        count[0] += 1
+        spend(tracker)
+
+    monkeypatch.setattr(_Budget, "spend", counting)
+    return count
+
+
 class TestFloor:
     """A floor of Z+ stops the standard search at its first forcing set of
     that size: Z+ <= Z, so only the node count may change."""
@@ -214,23 +228,14 @@ class TestFloor:
         ("halfgraph:8", 12_618, 10),
         ("marytree:3,13", 481, 481),  # Z+ = 1 < Z: the floor never binds
     ])
-    def test_node_counts(self, monkeypatch, text, unfloored, floored):
-        nodes = 0
-        spend = _Budget.spend
-
-        def counting(tracker):
-            nonlocal nodes
-            nodes += 1
-            spend(tracker)
-
-        monkeypatch.setattr(_Budget, "spend", counting)
+    def test_node_counts(self, spent, text, unfloored, floored):
         g = fam(text)
         floor = zero_forcing_number(g, Rule.PSD).value
         counts = []
         for kwargs in ({}, {"floor": floor}):
-            nodes = 0
+            spent[0] = 0
             zero_forcing_number(g, Rule.STANDARD, **kwargs)
-            counts.append(nodes)
+            counts.append(spent[0])
         assert counts == [unfloored, floored]
 
 
@@ -330,6 +335,22 @@ class TestMinFort:
         min_fort(g, Rule.PSD, budget=nodes)
         with pytest.raises(SearchBudgetExceeded):
             min_fort(g, Rule.PSD, budget=nodes - 1)
+
+    def test_budget_spent_on_every_small_graph(self, spent):
+        # every labeled graph with n <= 5 and one graph of each order-6
+        # class: a prune that decides differently moves these sums (PSD
+        # reads 22,479 without prune (c))
+        small = [graph_from_edge_mask(n, mask) for n in range(1, 6)
+                 for mask in range(1 << (n * (n - 1) // 2))]
+        small += [graph_from_edge_mask(6, edges)
+                  for edges, _ in _edge_mask_classes(6)]
+        sums = []
+        for rule in BOTH:
+            spent[0] = 0
+            for g in small:
+                min_fort(g, rule)
+            sums.append(spent[0])
+        assert sums == [15_428, 21_404]
 
     def test_budget_error_names_the_size_searched(self):
         # path:40 has no fort of fewer than 21 vertices
