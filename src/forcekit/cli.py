@@ -133,35 +133,32 @@ def _analyze(args) -> int:
         description = f"file:{args.file}"
 
     entries: dict[tuple[Rule, str], dict] = {}
-    values: dict[tuple[str, str], int] = {}
     rules = list(Rule) if args.rule == "both" else [Rule(args.rule)]
-    asked = [(rule, param) for rule in rules for param in params]
-    # Z+ <= Z, so Z+ runs first and floors the Z search when both are asked
-    for rule, param in sorted(asked, key=lambda key: key != (Rule.PSD, "Z")):
-        start = time.perf_counter()
-        if param == "Z":
-            res = zero_forcing_number(g, rule, args.budget,
-                                      floor=values.get(("psd", "Z"), 0))
-        else:
-            res = failed_number(g, rule, args.budget)
-        elapsed = time.perf_counter() - start
-        entry = {
-            "rule": rule.value,
-            "parameter": param if rule is Rule.STANDARD else param + "plus",
-            "value": res.value,
-            "witness": res.witness_vertices(),
-            "method": res.method,
-        }
-        if args.timings:
-            entry["seconds"] = round(elapsed, 6)
-        entries[(rule, param)] = entry
-        values[(rule.value, param)] = res.value
-    computed = [entries[key] for key in asked]
+    # Rule lists STANDARD first; PSD runs first, as Z+ <= Z floors the Z search
+    for rule in reversed(rules):
+        for param in params:
+            start = time.perf_counter()
+            if param == "Z":
+                floor = entries.get((Rule.PSD, "Z"), {"value": 0})["value"]
+                res = zero_forcing_number(g, rule, args.budget, floor=floor)
+            else:
+                res = failed_number(g, rule, args.budget)
+            elapsed = time.perf_counter() - start
+            entry = {
+                "rule": rule.value,
+                "parameter": param if rule is Rule.STANDARD else param + "plus",
+                "value": res.value,
+                "witness": res.witness_vertices(),
+                "method": res.method,
+            }
+            if args.timings:
+                entry["seconds"] = round(elapsed, 6)
+            entries[rule, param] = entry
+    computed = [entries[rule, param] for rule in rules for param in params]
 
-    checks = check_failed_bounds(
-        g.n, description, f=values.get(("standard", "F")),
-        z=values.get(("standard", "Z")), fplus=values.get(("psd", "F")),
-        zplus=values.get(("psd", "Z")))
+    # the parameter names F, Z, Fplus, Zplus, lowered, are its keywords
+    checks = check_failed_bounds(g.n, description, **{
+        entry["parameter"].lower(): entry["value"] for entry in computed})
     report = {
         "command": "analyze",
         "graph": {"description": description, "n": g.n, "edges": g.edges()},

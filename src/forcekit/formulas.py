@@ -270,7 +270,10 @@ def predicted_failed(spec: FamilySpec, rule: Rule) -> Prediction:
     outside the tables.  A disjoint union is composed from its members'
     predictions: exact when every member's is exact, a lower bound
     otherwise (the composition formula is monotone in each member value).
+    A ``rule`` that is not a ``Rule`` member is a ``TypeError``.
     """
+    if not isinstance(rule, Rule):
+        raise TypeError(f"rule must be a Rule, got {rule!r}")
     row = FAILED[rule]
     if spec.kind == "union":
         preds = [predicted_failed(m, rule) for m in spec.members]

@@ -108,8 +108,14 @@ class Graph:
 
 
 def graph_from_edges(n: int, edges) -> Graph:
+    # the order is checked before [0] * n allocates for it
+    if not (type(n) is int and 1 <= n <= MAX_VERTICES):
+        raise ValueError(f"vertex count {n!r} outside 1..{MAX_VERTICES}")
     adj = [0] * n
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is "
+                             "not an int")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         adj[u] |= 1 << v

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import forcekit.suites as suites
 from forcekit.cli import main
 from forcekit.forcing import Rule
 from forcekit.graphs import build_family
-from forcekit.search import zero_forcing_number
+from forcekit.search import failed_number, zero_forcing_number
 
 
 # The full stdout of `forcekit table`, row by row.
@@ -475,6 +476,41 @@ class TestFloorWiring:
         assert code == 0
         assert [(rule, floor) for rule, floor, _ in z_calls] == [
             (Rule.STANDARD, 0)]
+
+    def test_analyze_both_rules_f_named_first(self, capsys, z_calls):
+        code, _, _ = run_cli(capsys, "analyze", "--family", "hypercube:3",
+                             "--params", "F,Z", "--json")
+        assert code == 0
+        assert [(rule, floor) for rule, floor, _ in z_calls] == [
+            (Rule.PSD, 0), (Rule.STANDARD, 4)]
+
+    def test_analyze_psd_alone(self, capsys, z_calls):
+        code, _, _ = run_cli(capsys, "analyze", "--family", "hypercube:3",
+                             "--rule", "psd", "--json")
+        assert code == 0
+        assert [(rule, floor) for rule, floor, _ in z_calls] == [(Rule.PSD, 0)]
+
+    @pytest.mark.parametrize("rule", ["standard", "psd", "both"])
+    @pytest.mark.parametrize("params", ["Z", "F", "Z,F", "F,Z"])
+    def test_analyze_runs_each_asked_search_once(self, capsys, monkeypatch,
+                                                 z_calls, rule, params):
+        f_calls = []
+
+        def spy(g, rule, budget=None):
+            f_calls.append(rule)
+            return failed_number(g, rule, budget)
+
+        monkeypatch.setattr(cli, "failed_number", spy)
+        code, out, _ = run_cli(capsys, "analyze", "--family", "hypercube:3",
+                               "--rule", rule, "--params", params, "--json")
+        assert code == 0
+        rules = list(Rule) if rule == "both" else [Rule(rule)]
+        ran = Counter([(r, "Z") for r, _, _ in z_calls]
+                      + [(r, "F") for r in f_calls])
+        assert ran == Counter((r, p) for r in rules for p in params.split(","))
+        assert [(e["rule"], e["parameter"][0])
+                for e in json.loads(out)["computed"]] == [
+            (r.value, p) for r in rules for p in params.split(",")]
 
     @pytest.mark.parametrize("run", [
         lambda: suites.run_exhaustive(max_n=4),

@@ -27,7 +27,7 @@ from forcekit.graphs import (
     parse_family,
 )
 from forcekit.search import brute_failed_number, failed_number, zero_forcing_number
-from forcekit.suites import default_family_specs
+from forcekit.suites import default_family_specs, failed_number_check
 
 # the seven kinds that Tables 1, 2 and 5.1 cover
 TABLE_KINDS = ("path", "cycle", "complete", "hypercube", "wheel",
@@ -121,6 +121,13 @@ class TestPredictedFplus:
         pred = predicted_Fplus(spec("hypercube:3"))
         assert (pred.value, pred.exactness) == (4, LOWER_BOUND)
         assert predicted_Fplus(spec("hypercube:4")).value == 11
+
+
+@pytest.mark.parametrize("rule", ["standard", "psd", None, 0])
+@pytest.mark.parametrize("predict", [predicted_failed, failed_number_check])
+def test_a_rule_that_is_no_rule_is_a_type_error(predict, rule):
+    with pytest.raises(TypeError, match="rule must be a Rule"):
+        predict(spec("cycle:5"), rule)
 
 
 class TestOracleAgreement:

@@ -92,6 +92,19 @@ class TestGraphInvariants:
         assert str(exc.value) == \
             f"edge {edge} has an endpoint outside 0..2"
 
+    @pytest.mark.parametrize("edge", [(0, 1.0), (0, "1"), (0, True)])
+    def test_edge_list_refuses_endpoints_that_are_not_ints(self, edge):
+        with pytest.raises(ValueError) as exc:
+            graph_from_edges(3, [(0, 1), edge])
+        assert str(exc.value) == \
+            f"edge (0, {edge[1]!r}) has an endpoint that is not an int"
+
+    @pytest.mark.parametrize("n", [0, -1, 64, 3.0, 2**63])
+    def test_edge_list_refuses_an_order_outside_1_to_63(self, n):
+        with pytest.raises(ValueError) as exc:
+            graph_from_edges(n, [])
+        assert str(exc.value) == f"vertex count {n!r} outside 1..63"
+
     def test_edges_sorted(self):
         g = fam("cycle:4")
         assert g.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]

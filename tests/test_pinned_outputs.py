@@ -1,6 +1,7 @@
 """Byte-identical outputs: the sha256 of the full stdout of cheap runs of
 every verify suite, of the full default table51 and characterizations
-runs, of analyze on three families and of both tables.
+runs, of analyze on three families and of every rule and parameter
+request shape on hypercube:3, and of both tables.
 
 A refactor must leave every digest as it is.  A change that alters an
 output on purpose updates its digest here and says why in CHANGES.md.
@@ -37,6 +38,36 @@ DIGESTS = [
      "ed1b439bf15966cac4ad111a5e8d647e0493d137569e0b5e81df199f35174eed"),
     (("analyze", "--family", "halfgraph:4", "--json"),
      "263257928ea9c6427020816daafb7c61994de59090a0bf5b06fe0b49fb0bf872"),
+    (("analyze", "--family", "hypercube:3", "--rule", "standard", "--params",
+      "Z", "--json"),
+     "47670864355ed5aca1b93dad2f403ee34c0258d15aa7415973d7731c4e91f7e0"),
+    (("analyze", "--family", "hypercube:3", "--rule", "standard", "--params",
+      "F", "--json"),
+     "d5119624b7bb0e099af27aa3a64b422b6b44a8e4c2e9c54f7b34876226feba92"),
+    (("analyze", "--family", "hypercube:3", "--rule", "standard", "--params",
+      "F,Z", "--json"),
+     "32034edf94e1b8f509bdf6391e68e81a04c9314e319186b04d46e02707510a1d"),
+    (("analyze", "--family", "hypercube:3", "--rule", "psd", "--params",
+      "Z", "--json"),
+     "f08af31acf76bd4c8fd731caa2068de16d605f4046a95077e826ba2dfc7178da"),
+    (("analyze", "--family", "hypercube:3", "--rule", "psd", "--params",
+      "F", "--json"),
+     "2af57c459b26532845663df01a9e100d311e2a44f6f1074ae766298c106817f8"),
+    (("analyze", "--family", "hypercube:3", "--rule", "psd", "--params",
+      "F,Z", "--json"),
+     "5406694d2e09965d2b6bef9c9d9a1146379be7ed3ee0e9d41afbb76b710a2a2c"),
+    (("analyze", "--family", "hypercube:3", "--rule", "both", "--params",
+      "Z", "--json"),
+     "e5ba2d8fde01efa0171d218ccf9e9ce53a94758281edadfe2dc0819fc0f2926f"),
+    (("analyze", "--family", "hypercube:3", "--rule", "both", "--params",
+      "F", "--json"),
+     "73298bf1394585d76ab967a00131b4d919a68f960283e2a1309c2f0c82149055"),
+    (("analyze", "--family", "hypercube:3", "--rule", "both", "--params",
+      "F,Z", "--json"),
+     "46383958ac7a5dd8d1707aa8b3cfe9eee2d1e76a8c12b49a445b7aa1421bad50"),
+    (("analyze", "--family", "hypercube:3", "--rule", "both", "--params",
+      "F,Z"),
+     "29f1812bfd1b52b3c57ce1d4def45be3a90f3ee44f0550b267a090c26cbf1bc5"),
     (("table", "--which", "1"),
      "7c685e29af8f7cf395022a317e477e125ab0b53624cbedf3b743bf11bc493aab"),
     (("table", "--which", "2"),
