@@ -156,9 +156,8 @@ def _analyze(args) -> int:
             entries[rule, param] = entry
     computed = [entries[rule, param] for rule in rules for param in params]
 
-    # the parameter names F, Z, Fplus, Zplus, lowered, are its keywords
-    checks = check_failed_bounds(g.n, description, **{
-        entry["parameter"].lower(): entry["value"] for entry in computed})
+    checks = check_failed_bounds(g, description, {
+        entry["parameter"]: entry["value"] for entry in computed})
     report = {
         "command": "analyze",
         "graph": {"description": description, "n": g.n, "edges": g.edges()},

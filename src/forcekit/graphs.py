@@ -52,9 +52,9 @@ class Graph:
 
     Invariants enforced on construction: no loops, symmetric adjacency,
     no bits at or above ``n``, and 1 <= n <= 63.  Facts derived from the
-    adjacency (``full_mask``, ``twin_pairs``, ``edge_pairs``) are computed
-    on first use and kept for the graph's lifetime; they take no part in
-    ==, hash or repr.
+    adjacency (``full_mask``, ``twin_pairs``, ``edge_pairs``,
+    ``components``, ``size``) are computed on first use and kept for the
+    graph's lifetime; they take no part in ==, hash or repr.
     """
 
     n: int
@@ -96,6 +96,16 @@ class Graph:
         return tuple((u, v) for u in range(self.n)
                      for v in bits(self.adj[u] >> (u + 1) << (u + 1)))
 
+    @cached_property
+    def components(self) -> tuple[VertexSet, ...]:
+        """The connected components, by least vertex."""
+        return tuple(comp for comp, _ in component_reaches(self, self.full_mask))
+
+    @cached_property
+    def size(self) -> int:
+        """The number of edges, half the degree sum."""
+        return sum(row.bit_count() for row in self.adj) // 2
+
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -104,7 +114,7 @@ class Graph:
         return list(self.edge_pairs)
 
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return self.size
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -311,11 +321,11 @@ def components_within(g: Graph, sub: VertexSet) -> list[VertexSet]:
 
 
 def connected_components(g: Graph) -> list[VertexSet]:
-    return components_within(g, g.full_mask)
+    return list(g.components)
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    return len(g.components) == 1
 
 
 def has_isolated_vertex(g: Graph) -> bool:
@@ -324,20 +334,20 @@ def has_isolated_vertex(g: Graph) -> bool:
 
 def is_tree(g: Graph) -> bool:
     """Connected with exactly n - 1 edges."""
-    return g.edge_count() == g.n - 1 and is_connected(g)
+    return g.size == g.n - 1 and is_connected(g)
 
 
 def is_cycle_graph(g: Graph) -> bool:
-    return (g.n >= 3 and is_connected(g)
+    return (g.n >= 3 and g.size == g.n and is_connected(g)
             and all(g.degree(v) == 2 for v in range(g.n)))
 
 
 def is_complete(g: Graph) -> bool:
-    return g.edge_count() == g.n * (g.n - 1) // 2
+    return g.size == g.n * (g.n - 1) // 2
 
 
 def is_empty_graph(g: Graph) -> bool:
-    return g.edge_count() == 0
+    return g.size == 0
 
 
 def has_module_order2(g: Graph) -> bool:

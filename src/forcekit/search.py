@@ -40,25 +40,30 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class _Budget:
-    # progress: how far the search got, for the error message; a search
-    # updates it whenever that changes
-    __slots__ = ("left", "what", "progress")
+    # progress: a callable that says how far the search got, for the error
+    # message; it is called only once the budget has run out
+    __slots__ = ("left", "what", "rule", "progress")
 
-    def __init__(self, limit: int | None, what: str, progress: str = ""):
-        """limit None means DEFAULT_BUDGET; a negative one is a ValueError."""
+    def __init__(self, limit: int | None, what: str, rule: Rule | None = None,
+                 progress=lambda: ""):
+        """limit None means DEFAULT_BUDGET; a negative one is a ValueError.
+        The error message names what, and the rule when it is a Rule."""
         if limit is None:
             limit = DEFAULT_BUDGET
         elif limit < 0:
             raise ValueError(f"budget must be >= 0, got {limit}")
         self.left = limit
         self.what = what
+        self.rule = rule
         self.progress = progress
 
     def spend(self) -> None:
         self.left -= 1
         if self.left < 0:
+            what = (f"{self.what} ({self.rule.value})"
+                    if isinstance(self.rule, Rule) else self.what)
             raise SearchBudgetExceeded(
-                f"{self.what}: candidate budget exhausted{self.progress} "
+                f"{what}: candidate budget exhausted{self.progress()} "
                 "(raise --budget, or shrink the instance)")
 
 
@@ -116,11 +121,12 @@ def zero_forcing_number(g: Graph, rule: Rule, budget: int | None = None,
     of a standard search: every standard force is a PSD force, so
     Z+ <= Z.
     """
-    tracker = _Budget(budget, "zero_forcing_number",
-                      "; no forcing set found yet")
     n = g.n
     full = g.full_mask
     best, witness = n + 1, full  # the incumbent
+    tracker = _Budget(budget, "zero_forcing_number", rule, lambda: (
+        "; no forcing set found yet" if best > n
+        else f"; smallest forcing set so far: {_vertices(best)}"))
     prev = _previous_twins(g)
 
     def extend(prefix: VertexSet, start: VertexSet, last: int, size: int):
@@ -129,7 +135,6 @@ def zero_forcing_number(g: Graph, rule: Rule, budget: int | None = None,
         cl = derived_set(g, start, rule)
         if cl == full:  # every node is created below the incumbent's size
             best, witness = size, prefix
-            tracker.progress = f"; smallest forcing set so far: {_vertices(size)}"
             return
         for v in range(last + 1, n):
             if size + 1 >= best or best <= floor:
@@ -200,7 +205,8 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
     every leaf tested, spends one unit of budget.  A fort always exists:
     the full vertex set is one (its complement is the stalled empty coloring).
     """
-    tracker = _Budget(budget, "min_fort")
+    tracker = _Budget(budget, "min_fort", rule, lambda: (
+        f"; searching forts of {_vertices(k)}, none is smaller"))
     n = g.n
     adj = g.adj
     full = g.full_mask
@@ -242,7 +248,6 @@ def min_fort(g: Graph, rule: Rule, budget: int | None = None) -> VertexSet:
         return None
 
     for k in range(1, n + 1):
-        tracker.progress = f"; searching forts of {_vertices(k)}, none is smaller"
         w = grow(0, 0, 0, k, 0)
         if w is not None:
             return w
@@ -265,14 +270,14 @@ def brute_failed_number(g: Graph, rule: Rule,
                         budget: int | None = None) -> ExtremalResult:
     """Independent oracle: the descending scan of the module docstring for
     the largest failed set; each set tested spends one unit of budget."""
-    tracker = _Budget(budget, "brute_failed_number")
+    tracker = _Budget(budget, "brute_failed_number", rule, lambda: (
+        f"; testing sets of {_vertices(k)}, none larger is failed"))
     if g.n > BRUTE_FORCE_MAX_N:
         raise SearchBudgetExceeded(
             f"brute_failed_number: n={g.n} exceeds the 2^n scan guard "
             f"(n <= {BRUTE_FORCE_MAX_N})")
     full = g.full_mask
     for k in range(g.n, -1, -1):
-        tracker.progress = f"; testing sets of {_vertices(k)}, none larger is failed"
         for combo in combinations(range(g.n), k):
             tracker.spend()
             s = sum(1 << v for v in combo)

@@ -23,6 +23,8 @@ from .formulas import (
     predicted_failed,
     table51_lookup,
 )
+# is_connected and the four check_* row groups are imported only because
+# perfbench/tracing.py patches these names here; no code here calls them
 from .graphs import (
     FamilySpec,
     Graph,
@@ -52,6 +54,7 @@ from .theorems import (
     check_low_Fplus,
     check_minrank_equalities,
     check_module_characterizations,
+    graph_checks,
 )
 
 # exhaustive6 counts the edges of each of the 2^(n(n-1)/2) labeled graphs
@@ -170,28 +173,31 @@ def run_table51(max_n: int | None = None, budget: int | None = None) -> dict:
 # Characterization suite over family instances
 # ---------------------------------------------------------------------------
 
-def _characterize(g: Graph, name: str, budget: int | None = None):
-    """F, F+, Z and Z+ of g, and the structural theorem checks that apply
-    to every graph; returns ((f, fp, z, zp), reports)."""
+def _searches(g: Graph, budget: int | None = None) -> dict[str, int]:
+    """F, F+, Z and Z+ of g, keyed by parameter name."""
     f = failed_number(g, Rule.STANDARD, budget).value
     fp = failed_number(g, Rule.PSD, budget).value
     # Z+ <= Z: the PSD value floors the standard search
     zp = zero_forcing_number(g, Rule.PSD, budget).value
     z = zero_forcing_number(g, Rule.STANDARD, budget, floor=zp).value
-    reports = check_isolated_characterizations(g, name, f, fp)
-    if is_connected(g):
-        reports += check_module_characterizations(g, name, f, fp)
-    reports += check_low_Fplus(g, name, fp, zp)
-    reports += check_F_vs_Z(g, name, f, z, fp, zp)
-    return (f, fp, z, zp), reports
+    return {"F": f, "Fplus": fp, "Z": z, "Zplus": zp}
+
+
+def _characterize(g: Graph, name: str, budget: int | None = None):
+    """The four parameters of g, keyed by name, and a report for each row
+    of ``theorems.GRAPH_CHECKS`` that applies to g."""
+    values = _searches(g, budget)
+    return values, [TheoremReport.compare(theorem, name, expected, observed)
+                    for theorem, expected, observed in graph_checks(g, values)]
 
 
 def run_characterizations(max_n: int | None = None,
                           budget: int | None = None) -> dict:
     result = _new_result("characterizations", max_n=max_n)
     for spec in default_family_specs(max_n):
-        (f, fp, _, zp), reports = _characterize(build_family(spec),
-                                                spec.label(), budget)
+        values, reports = _characterize(build_family(spec), spec.label(),
+                                        budget)
+        f, fp, zp = values["F"], values["Fplus"], values["Zplus"]
         table = table51_lookup(spec)
         known = ()
         if table is not None:
@@ -210,8 +216,15 @@ def run_characterizations(max_n: int | None = None,
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
     """The graph on n vertices whose edges are the set bits of mask, bit k
     standing for the k-th pair (i, j), i < j, in lexicographic order."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return graph_from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+    adj = [0] * n
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mask >> k & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            k += 1
+    return Graph(n, tuple(adj))
 
 
 def _edge_mask_classes(n: int) -> list[tuple[int, int]]:
@@ -232,18 +245,18 @@ def _edge_mask_classes(n: int) -> list[tuple[int, int]]:
     position = {pair: k for k, pair in enumerate(pairs)}
     m = len(pairs)
     # Each generator permutes the edge bits.  Per generator, one table for
-    # each byte of a mask (m <= 21 needs three) maps the byte's value to its
-    # image, so the image of a mask is the OR of three lookups.
+    # the low 11 bits of a mask and one for the rest (m <= 21) map their
+    # value to its image, so the image of a mask is the OR of two lookups.
     tables = []
     for perm in ([1, 0, *range(2, n)], [*range(1, n), 0]):
         image = [position[min(perm[i], perm[j]), max(perm[i], perm[j])]
                  for i, j in pairs]
-        for low in (0, 8, 16):
+        for low in (0, 11):
             table = [0]
-            for k in range(low, min(low + 8, m)):
+            for k in range(low, min(low + 11, m)):
                 table += [t | 1 << image[k] for t in table]
             tables.append(table)
-    s0, s1, s2, r0, r1, r2 = tables
+    s0, s1, r0, r1 = tables
     # Masks with more than m/2 edges start out marked.  edge_count[x] is
     # the popcount of x, built by doubling: the upper half of the masks of
     # k + 1 bits counts one more edge than the lower half.
@@ -258,12 +271,12 @@ def _edge_mask_classes(n: int) -> list[tuple[int, int]]:
         marked[rep] = 1
         orbit = [rep]
         for mask in orbit:
-            a, b, c = mask & 255, mask >> 8 & 255, mask >> 16
-            image = s0[a] | s1[b] | s2[c]
+            a, b = mask & 2047, mask >> 11
+            image = s0[a] | s1[b]
             if not marked[image]:
                 marked[image] = 1
                 orbit.append(image)
-            image = r0[a] | r1[b] | r2[c]
+            image = r0[a] | r1[b]
             if not marked[image]:
                 marked[image] = 1
                 orbit.append(image)
@@ -292,14 +305,15 @@ def run_exhaustive(max_n: int = 6, jobs: int = 1) -> dict:
     for n in range(1, max_n + 1):
         for mask, orbit in _edge_mask_classes(n):
             g = graph_from_edge_mask(n, mask)
-            _, reports = _characterize(g, f"n={n} edges={mask:#x}")
             graphs_checked += orbit
-            for rep in reports:
-                total = totals.setdefault(rep.theorem, [0, 0])
+            for theorem, expected, observed in graph_checks(g, _searches(g)):
+                total = totals.setdefault(theorem, [0, 0])
                 total[0] += orbit
-                if not rep.passed:
+                if expected != observed:
                     total[1] += orbit
-                    violations.append(rep.as_dict())
+                    violations.append(TheoremReport.compare(
+                        theorem, f"n={n} edges={mask:#x}", expected,
+                        observed).as_dict())
     violations.sort(key=lambda v: (v["graph"], v["theorem"]))
     for theorem, (checked, violated) in totals.items():
         _record(result, TheoremReport(

@@ -1,10 +1,13 @@
 """Executable checks for the characterization theorems.
 
 Each check compares computed parameter values against what a theorem
-asserts about the graph's structure and returns one TheoremReport per
-assertion.  The checks take already-computed parameters so they can be
-driven by either the fort search or the brute oracle, and the Table 5.1
-checks take the record that their suite looked up (``table51_lookup``).
+asserts about the graph's structure.  The checks take already-computed
+parameters so they can be driven by either the fort search or the brute
+oracle.  The eleven checks that read only the graph and its four
+parameters are the rows of one table, ``GRAPH_CHECKS``, and one evaluator,
+``graph_checks``, gives each row's expected and observed values; the
+Table 5.1 checks take the record that their suite looked up
+(``table51_lookup``) and return one TheoremReport per assertion.
 """
 
 from __future__ import annotations
@@ -45,63 +48,87 @@ class TheoremReport:
                 "pass": self.passed}
 
 
-def check_isolated_characterizations(g: Graph, name: str, f: int,
-                                     fplus: int) -> list[TheoremReport]:
-    """F = n-1 iff isolated vertex; same for the PSD failed number."""
-    isolated = has_isolated_vertex(g)
-    return [
-        TheoremReport.compare("Obs 3.4", name, isolated, f == g.n - 1),
-        TheoremReport.compare("Thm 4.2", name, isolated, fplus == g.n - 1),
-    ]
+# The graph-level checks, in the order the suites report them.  A row is
+# (theorem, applies, reads, check): applies is None for a check on every
+# graph, else the predicate a graph must meet; check maps the graph and a
+# dict from parameter name (F, Z, Fplus, Zplus) to value to the pair
+# (expected, observed), reading only the parameters in reads.
+GRAPH_CHECKS = (
+    # F = n-1 iff an isolated vertex exists; the same for F+
+    ("Obs 3.4", None, ("F",),
+     lambda g, v: (has_isolated_vertex(g), v["F"] == g.n - 1)),
+    ("Thm 4.2", None, ("Fplus",),
+     lambda g, v: (has_isolated_vertex(g), v["Fplus"] == g.n - 1)),
+    # connected graphs: F = n-2 iff a module of order 2 exists; the PSD
+    # analogue needs the module's two vertices adjacent
+    ("Thm 3.5", is_connected, ("F",),
+     lambda g, v: (has_module_order2(g), v["F"] == g.n - 2)),
+    ("Thm 4.12", is_connected, ("Fplus",),
+     lambda g, v: (has_adjacent_module_order2(g), v["Fplus"] == g.n - 2)),
+    # F+ = 0 exactly on trees, equivalently when Z+ = 1, and F+ = 1 exactly
+    # on cycles and on two isolated vertices
+    ("Thm 4.16", None, ("Fplus",), lambda g, v: (is_tree(g), v["Fplus"] == 0)),
+    ("Cor 4.17", None, ("Zplus", "Fplus"),
+     lambda g, v: (v["Zplus"] == 1, v["Fplus"] == 0)),
+    ("Thm 4.18", None, ("Fplus",), lambda g, v: (
+        g.n == 2 and is_empty_graph(g) or is_cycle_graph(g), v["Fplus"] == 1)),
+    # the bounds Z - 1 <= F <= n - 1, Z+ - 1 <= F+ <= n - 1 and F+ <= F
+    ("Obs 3.1", None, ("F", "Z"),
+     lambda g, v: (True, v["Z"] - 1 <= v["F"] <= g.n - 1)),
+    ("Prop 4.1", None, ("Fplus", "Zplus"),
+     lambda g, v: (True, v["Zplus"] - 1 <= v["Fplus"] <= g.n - 1)),
+    ("Thm 4.19", None, ("F", "Fplus"), lambda g, v: (True, v["Fplus"] <= v["F"])),
+    # F < Z exactly on complete graphs and their complements
+    ("Thm 5.1", None, ("F", "Z"),
+     lambda g, v: (is_complete(g) or is_empty_graph(g), v["F"] < v["Z"])),
+)
 
 
-def check_module_characterizations(g: Graph, name: str, f: int,
-                                   fplus: int) -> list[TheoremReport]:
-    """Connected graphs: F = n-2 iff a module of order 2 exists; the PSD
-    analogue needs the module's two vertices adjacent."""
+def graph_checks(g: Graph, values: dict, rows=None):
+    """Yield (theorem, expected, observed) for each row of ``rows``, all of
+    GRAPH_CHECKS by default, that applies to g, in order."""
+    for theorem, applies, _, check in GRAPH_CHECKS if rows is None else rows:
+        if applies is None or applies(g):
+            yield (theorem, *check(g, values))
+
+
+def _reports(g: Graph, name: str, theorems: tuple, **values) -> list[TheoremReport]:
+    """A report for each row named in theorems whose parameters are given."""
+    rows = [row for row in GRAPH_CHECKS
+            if row[0] in theorems and all(p in values for p in row[2])]
+    return [TheoremReport.compare(theorem, name, expected, observed)
+            for theorem, expected, observed in graph_checks(g, values, rows)]
+
+
+_BOUNDS = ("Obs 3.1", "Prop 4.1", "Thm 4.19")
+
+
+def check_failed_bounds(g: Graph, name: str, values: dict) -> list[TheoremReport]:
+    """The bound rows whose parameters values (keyed F, Z, Fplus, Zplus) gives."""
+    return _reports(g, name, _BOUNDS, **values)
+
+
+# The row groups that tests/test_theorems.py checks; perfbench/tracing.py
+# patches their names on the suites module.
+
+def check_isolated_characterizations(g: Graph, name: str, f: int, fplus: int):
+    return _reports(g, name, ("Obs 3.4", "Thm 4.2"), F=f, Fplus=fplus)
+
+
+def check_module_characterizations(g: Graph, name: str, f: int, fplus: int):
     if not is_connected(g):
         raise ValueError("module characterizations apply to connected graphs")
-    return [
-        TheoremReport.compare("Thm 3.5", name,
-                              has_module_order2(g), f == g.n - 2),
-        TheoremReport.compare("Thm 4.12", name,
-                              has_adjacent_module_order2(g), fplus == g.n - 2),
-    ]
+    return _reports(g, name, ("Thm 3.5", "Thm 4.12"), F=f, Fplus=fplus)
 
 
-def check_low_Fplus(g: Graph, name: str, fplus: int,
-                    zplus: int) -> list[TheoremReport]:
-    """The PSD failed number is 0 exactly on trees (equivalently when the
-    PSD forcing number is 1) and 1 exactly on cycles and on two isolated
-    vertices."""
-    two_isolated = g.n == 2 and is_empty_graph(g)
-    return [
-        TheoremReport.compare("Thm 4.16", name, is_tree(g), fplus == 0),
-        TheoremReport.compare("Cor 4.17", name, zplus == 1, fplus == 0),
-        TheoremReport.compare("Thm 4.18", name,
-                              two_isolated or is_cycle_graph(g), fplus == 1),
-    ]
+def check_low_Fplus(g: Graph, name: str, fplus: int, zplus: int):
+    return _reports(g, name, ("Thm 4.16", "Cor 4.17", "Thm 4.18"),
+                    Fplus=fplus, Zplus=zplus)
 
 
-def check_failed_bounds(n: int, name: str, f=None, z=None, fplus=None,
-                        zplus=None) -> list[TheoremReport]:
-    """Z - 1 <= F <= n - 1 (Obs 3.1), Z+ - 1 <= F+ <= n - 1 (Prop 4.1) and
-    F+ <= F (Thm 4.19), each checked when the values it reads are given."""
-    checks = (("Obs 3.1", (f, z), lambda: z - 1 <= f <= n - 1),
-              ("Prop 4.1", (fplus, zplus), lambda: zplus - 1 <= fplus <= n - 1),
-              ("Thm 4.19", (f, fplus), lambda: fplus <= f))
-    return [TheoremReport.compare(theorem, name, True, holds())
-            for theorem, values, holds in checks if None not in values]
-
-
-def check_F_vs_Z(g: Graph, name: str, f: int, z: int, fplus: int,
-                 zplus: int) -> list[TheoremReport]:
-    """Sandwich bounds, rule dominance, and the characterization of
-    F < Z (complete graphs and their complements only)."""
-    return check_failed_bounds(g.n, name, f, z, fplus, zplus) + [
-        TheoremReport.compare("Thm 5.1", name,
-                              is_complete(g) or is_empty_graph(g), f < z),
-    ]
+def check_F_vs_Z(g: Graph, name: str, f: int, z: int, fplus: int, zplus: int):
+    return _reports(g, name, _BOUNDS + ("Thm 5.1",),
+                    F=f, Z=z, Fplus=fplus, Zplus=zplus)
 
 
 def check_minrank_equalities(spec: FamilySpec, table: Table51, f: int,

@@ -33,6 +33,14 @@ from forcekit.suites import (
 from forcekit.theorems import TheoremReport
 
 
+def graph_from_edge_pairs(n: int, mask: int) -> Graph:
+    """The pair-list reading of an edge mask, the oracle for
+    ``graph_from_edge_mask``: bit k stands for the k-th pair (i, j), i < j,
+    in lexicographic order, and the set pairs go to ``graph_from_edges``."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return graph_from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+
+
 @st.composite
 def graphs(draw, min_n: int = 1, max_n: int = 7):
     n = draw(st.integers(min_n, max_n))

@@ -186,7 +186,7 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--family", "hypercube:5",
                                  "--budget", "100000")
         assert code == 3 and out == ""
-        assert err == ("error: zero_forcing_number: candidate budget "
+        assert err == ("error: zero_forcing_number (psd): candidate budget "
                        "exhausted; smallest forcing set so far: 16 vertices "
                        "(raise --budget, or shrink the instance)\n")
 
@@ -194,8 +194,26 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--family", "path:3",
                                  "--params", "F", "--budget", "0")
         assert code == 3 and out == ""
-        assert err == ("error: min_fort: candidate budget exhausted; "
+        assert err == ("error: min_fort (psd): candidate budget exhausted; "
                        "searching forts of 1 vertex, none is smaller "
+                       "(raise --budget, or shrink the instance)\n")
+
+    @pytest.mark.parametrize("rule", ["both", "standard", "psd"])
+    @pytest.mark.parametrize("params,how_far", [
+        ("Z", "zero_forcing_number ({}): candidate budget exhausted; "
+              "smallest forcing set so far: 8 vertices"),
+        ("F", "min_fort ({}): candidate budget exhausted; "
+              "searching forts of 2 vertices, none is smaller"),
+    ])
+    def test_budget_error_names_the_rule(self, capsys, rule, params, how_far):
+        # with both rules the PSD search runs first, so it is the one that
+        # runs out
+        code, out, err = run_cli(capsys, "analyze", "--family", "hypercube:4",
+                                 "--params", params, "--rule", rule,
+                                 "--budget", "40")
+        named = "psd" if rule == "both" else rule
+        assert code == 3 and out == ""
+        assert err == (f"error: {how_far.format(named)} "
                        "(raise --budget, or shrink the instance)\n")
 
     def test_timings_flag_adds_fields(self, capsys):

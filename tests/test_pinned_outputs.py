@@ -1,17 +1,26 @@
 """Byte-identical outputs: the sha256 of the full stdout of cheap runs of
-every verify suite, of the full default table51 and characterizations
-runs, of analyze on three families and of every rule and parameter
-request shape on hypercube:3, and of both tables.
+every verify suite, of the full default table51, characterizations and
+exhaustive6 runs, of analyze on three families and of every rule and
+parameter request shape on hypercube:3, and of both tables; and of the
+reports that ``_characterize`` gives on small graphs.
 
 A refactor must leave every digest as it is.  A change that alters an
 output on purpose updates its digest here and says why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from forcekit.cli import main
+from forcekit.graphs import build_family
+from forcekit.suites import (
+    _characterize,
+    _edge_mask_classes,
+    default_family_specs,
+    graph_from_edge_mask,
+)
 
 DIGESTS = [
     (("verify", "--suite", "table1", "--max-n", "8", "--json"),
@@ -28,6 +37,8 @@ DIGESTS = [
      "2c7bc3d22b2c2a5a73f99e4dcbe8dc7c763f2dc93fa209742a901541e9fb0b82"),
     (("verify", "--suite", "exhaustive6", "--max-n", "5", "--json"),
      "6af345951e7d2d34503d53d9c51e6bf49317231f8323b5776a295288566a7e1d"),
+    (("verify", "--suite", "exhaustive6", "--json"),
+     "c9c4bc4397c5b6e832bed448edb6c681d27976e834bffe5d3f3ecb665324f5a8"),
     (("verify", "--suite", "disconnected", "--seed", "0", "--json"),
      "073f313fa08d661d716967ac8c6125a9cf295b0e5d5d93a1b412f70232bc27f5"),
     (("verify", "--suite", "linalg", "--seed", "7", "--max-n", "6", "--json"),
@@ -81,3 +92,17 @@ def test_stdout_digest(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_characterize_reports_digest():
+    # every check's verdict on each class of order <= 6, by its least edge
+    # mask, and on each default instance of order <= 8
+    cases = [(f"n={n} edges={mask:#x}", graph_from_edge_mask(n, mask))
+             for n in range(1, 7) for mask, _ in _edge_mask_classes(n)]
+    cases += [(spec.label(), build_family(spec))
+              for spec in default_family_specs(8)]
+    rows = [[name, [[r.theorem, r.expected, r.observed, r.passed]
+                    for r in _characterize(g, name)[1]]] for name, g in cases]
+    assert (len(cases), sum(len(reports) for _, reports in rows)) == (278, 2914)
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        "498d342a7e8a2393087868d50c2fe146f9443e20d87c784b008cfb878e46bac1"

@@ -17,13 +17,21 @@ import pytest
 import forcekit
 import forcekit.formulas as formulas
 import forcekit.suites as suites
+import forcekit.theorems as theorems
 from forcekit.cli import main
 from forcekit.forcing import Rule
 from forcekit.graphs import (
     Graph,
     build_family,
+    component_reaches,
+    connected_components,
     disjoint_union,
     graph_from_edges,
+    is_complete,
+    is_connected,
+    is_cycle_graph,
+    is_empty_graph,
+    is_tree,
     parse_family,
 )
 from forcekit.suites import (
@@ -40,6 +48,7 @@ from forcekit.suites import (
 from forcekit.theorems import TheoremReport
 
 from conftest import (
+    graph_from_edge_pairs,
     maximal_failed_contains_compositions,
     random_graph,
     run_oracle_equivalence,
@@ -166,6 +175,38 @@ class TestExhaustive:
         g = suites.graph_from_edge_mask(4, 0b101001)
         assert g.edges() == [(0, 1), (1, 2), (2, 3)]
 
+    def test_edge_mask_graph_matches_the_pair_list_reading(self):
+        for n in range(1, 6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                assert suites.graph_from_edge_mask(n, mask) == \
+                    graph_from_edge_pairs(n, mask), (n, mask)
+
+    def test_each_class_walks_its_components_once(self, monkeypatch):
+        # the checks of a class read its components and its edge count
+        # from the graph, which computes each once
+        walks = []
+
+        def counted(g, sub):
+            if sub == g.full_mask:
+                walks.append(g)
+            return component_reaches(g, sub)
+
+        monkeypatch.setattr(forcekit.graphs, "component_reaches", counted)
+        sizes = []
+        size = Graph.size.func
+
+        def counted_size(g):
+            sizes.append(g)
+            return size(g)
+
+        prop = cached_property(counted_size)
+        prop.__set_name__(Graph, "size")
+        monkeypatch.setattr(Graph, "size", prop)
+        res = run_exhaustive(max_n=5)
+        assert res["graphs_checked"] == 1 + 2 + 8 + 64 + 1024
+        assert len(walks) == len(set(walks)) == 1 + 2 + 4 + 11 + 34
+        assert len(sizes) == len(set(sizes)) == len(walks)
+
     def test_jobs_do_not_change_output(self):
         serial = run_exhaustive(max_n=4, jobs=1)
         parallel = run_exhaustive(max_n=4, jobs=2)
@@ -180,14 +221,11 @@ class TestExhaustive:
 
 def _add_extra_check(monkeypatch, fails_from: int) -> None:
     """Make _characterize report one more theorem, "Extra", that fails on
-    every graph with at least fails_from vertices."""
-    check_F_vs_Z = suites.check_F_vs_Z
-
-    def with_extra(g, name, *values):
-        return check_F_vs_Z(g, name, *values) + [
-            TheoremReport.compare("Extra", name, True, g.n < fails_from)]
-
-    monkeypatch.setattr(suites, "check_F_vs_Z", with_extra)
+    every graph with at least fails_from vertices: one more row of the
+    graph-level check table."""
+    extra = ("Extra", None, (), lambda g, v: (True, g.n < fails_from))
+    monkeypatch.setattr(theorems, "GRAPH_CHECKS",
+                        theorems.GRAPH_CHECKS + (extra,))
 
 
 def _loaded_on_import(package: str) -> str:
@@ -221,6 +259,25 @@ def relabelings(mask_classes):
 
 
 class TestEdgeMaskClasses:
+    def test_kept_graph_facts_match_fresh_computations(self, mask_classes):
+        # every class of order <= 7 and every default instance
+        graphs = [suites.graph_from_edge_mask(n, rep)
+                  for n in range(1, 8) for rep, _ in mask_classes[n]]
+        graphs += [build_family(spec) for spec in default_family_specs()]
+        for g in graphs:
+            comps = [comp for comp, _ in component_reaches(g, g.full_mask)]
+            edges = sum(g.degree(v) for v in range(g.n)) // 2
+            assert connected_components(g) == comps
+            assert connected_components(g) is not connected_components(g)
+            assert g.edge_count() == edges
+            assert is_connected(g) == (len(comps) == 1)
+            assert is_tree(g) == (len(comps) == 1 and edges == g.n - 1)
+            assert is_cycle_graph(g) == (
+                len(comps) == 1 and g.n >= 3
+                and all(g.degree(v) == 2 for v in range(g.n)))
+            assert is_complete(g) == (edges == g.n * (g.n - 1) // 2)
+            assert is_empty_graph(g) == (edges == 0)
+
     def test_class_counts(self, mask_classes):
         # OEIS A000088: graphs on n unlabeled vertices
         assert [len(mask_classes[n]) for n in range(1, 8)] == [
