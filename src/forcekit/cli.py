@@ -226,8 +226,7 @@ def _table(args) -> int:
     else:
         rule, param, eq = Rule.PSD, "F+(G)", "F+(G)=mr+(G)?"
     header = f"{'G':<18} {param:<18} {eq:<14} computed"
-    print(header)
-    print("-" * len(header))
+    lines = [header, "-" * len(header)]
     instances = default_family_specs()
     for row in FAILED[rule].table:
         checks = [failed_number_check(spec, rule)
@@ -235,7 +234,11 @@ def _table(args) -> int:
         misses = [f"{c.graph}={c.observed}" for c in checks if not c.passed]
         status = (f"MISMATCH {','.join(misses)}" if misses
                   else f"ok ({len(checks)}/{len(checks)} instances)")
-        print(f"{row.label:<18} {row.formula:<18} {row.equality:<14} {status}")
+        lines.append(f"{row.label:<18} {row.formula:<18} {row.equality:<14} "
+                     f"{status}")
+    # printed once every row is computed, so a search that runs out of
+    # budget leaves stdout empty
+    print("\n".join(lines))
     return EXIT_OK
 
 

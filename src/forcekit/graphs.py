@@ -254,6 +254,8 @@ def parse_family(text: str) -> FamilySpec:
     parts = [p.strip() for p in text.split("+")]
     specs = []
     for part in parts:
+        if not part and len(parts) > 1:
+            raise FamilyError(f"bad family syntax {text!r}: a union term is empty")
         if ":" not in part:
             raise FamilyError(f"bad family syntax {part!r}, expected kind:params")
         kind, _, arg = part.partition(":")

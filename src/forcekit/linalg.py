@@ -19,7 +19,9 @@ fraction-free Gauss-Jordan elimination (Nakos, Turner & Williams, SIGSAM
 Bulletin 1997) gives them.  A singular matrix solves for one diagonal
 entry and is scaled by its cofactor to stay integer; one elimination of
 the cofactor block, with the solved entry's column beside it, gives the
-cofactor, the determinant it is solved from and the kernel vector.  So
+cofactor, the determinant it is solved from and the kernel vector.  A
+weighted Laplacian's kernel, spanned by its component indicators, is
+known by construction: it is checked exactly and not eliminated.  So
 A x = 0 holds exactly, and a zero coordinate is exactly zero.
 """
 
@@ -85,7 +87,8 @@ class PatternMatrix:
         coordinate.  Back substitution from x_f = |d|, d the last pivot,
         divides exactly.  Computed on first use, so a matrix's kernel and
         rank read one elimination; ``shifted_singular_matrix`` sets it
-        from the elimination that built the matrix."""
+        from the elimination that built the matrix, and
+        ``weighted_laplacian`` from the graph's components, with none."""
         rows, pivots, d = _echelon(self.entries)
         n = self.graph.n
         basis = []
@@ -103,24 +106,39 @@ def _echelon(a) -> tuple[list[list[int]], list[int], int]:
     Each division is exact, as every entry stays a minor of a, and d is
     the determinant of a square matrix of full rank.  Only the entries
     right of each row's pivot are kept up to date; the rest are not read.
-    A row with 0 in the pivot column is only rescaled, by pivot / prev."""
+
+    A row with 0 in the pivot column, which eager Bareiss would only
+    rescale by pivot / prev, is left alone.  Its scale[i], the pivot p_s
+    it was last brought up to, says how far behind it is: the skipped
+    factors p_t / p_(t-1) telescope to p / p_s.  A row read as the next
+    pivot row is brought up to date in one pass, x * p // p_s, and a row
+    eliminated divides by p_s in place of prev, which folds its skipped
+    factors in.  Both give the eager values, which are integer minors, so
+    both divisions are exact."""
     rows = [list(row) for row in a]
+    scale = [1] * len(rows)
     pivots, sign, prev = [], 1, 1
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
+        # a row's stale entries are nonzero exactly where its current are
         p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
             continue
         if p != r:
             rows[r], rows[p], sign = rows[p], rows[r], -sign
-        pivot, tail = rows[r][c], rows[r][c + 1:]
-        for row in rows[r + 1:]:
+            scale[r], scale[p] = scale[p], scale[r]
+        row, s = rows[r], scale[r]
+        if s != prev:
+            row[c:] = [x * prev // s for x in row[c:]]
+        pivot, tail = row[c], row[c + 1:]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
             f = row[c]
             if f:
-                row[c + 1:] = [(pivot * x - f * y) // prev
+                s = scale[i]
+                row[c + 1:] = [(pivot * x - f * y) // s
                                for x, y in zip(row[c + 1:], tail)]
-            elif pivot != prev:
-                row[c + 1:] = [pivot * x // prev for x in row[c + 1:]]
+                scale[i] = pivot
         pivots.append(c)
         prev = pivot
     return rows[:len(pivots)], pivots, sign * prev
@@ -208,7 +226,19 @@ def shifted_singular_matrix(g: Graph, seed) -> PatternMatrix:
 
 def weighted_laplacian(g: Graph, seed) -> PatternMatrix:
     """Laplacian D - W with integer edge weights 1..3: positive
-    semidefinite, pattern g, nullity = component count."""
+    semidefinite, pattern g, and its kernel known by construction.
+
+    x'Lx = sum over edges of w_ij (x_i - x_j)^2 with every w_ij > 0, so
+    the kernel is exactly the vectors constant on each component, spanned
+    by the component indicators.  The greatest vertex of a component is
+    its one non-pivot column (the columns before it are independent, as
+    the component's kernel vector is nonzero everywhere), so the
+    indicators, ordered by greatest vertex, are the RREF basis vectors
+    that ``_kernel`` would find; the matrix keeps them, as
+    ``shifted_singular_matrix`` keeps its kernel.  They are checked
+    exactly: the pattern check keeps every nonzero of row i inside i's
+    component, so zero row sums give L 1_C = 0 for each component C, and
+    negative off-diagonal entries give the weights' signs."""
     rng = _rng(seed)
     a = [[0] * g.n for _ in range(g.n)]
     for i, j in g.edge_pairs:
@@ -216,7 +246,15 @@ def weighted_laplacian(g: Graph, seed) -> PatternMatrix:
         a[i][j] = a[j][i] = -w
         a[i][i] += w
         a[j][j] += w
-    return PatternMatrix(g, a, psd=True)
+    m = PatternMatrix(g, a, psd=True)
+    if any(sum(row) or max(row[:i] + row[i + 1:], default=0) > 0
+           for i, row in enumerate(m.entries)):
+        raise ArithmeticError("the matrix is not a Laplacian with positive "
+                              "weights")
+    m.__dict__["_kernel"] = tuple(
+        tuple(comp >> v & 1 for v in range(g.n))
+        for comp in sorted(g.components, key=int.bit_length))
+    return m
 
 
 def kernel_basis(matrix: PatternMatrix) -> list[tuple[int, ...]]:

@@ -13,6 +13,7 @@ its row of Table 5.1 (``formulas.TABLE51``) marks the claim as one.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from functools import partial
 
 from .forcing import Rule
@@ -43,6 +44,7 @@ from .linalg import (
     weighted_laplacian,
 )
 from .search import (
+    SearchBudgetExceeded,
     failed_number,
     zero_forcing_number,
 )
@@ -126,6 +128,16 @@ def _finish(result: dict) -> dict:
     return result
 
 
+@contextmanager
+def _naming(label: str):
+    """A search budget that runs out inside the block names the instance,
+    as in ``path:3: min_fort (standard): candidate budget exhausted``."""
+    try:
+        yield
+    except SearchBudgetExceeded as exc:
+        raise SearchBudgetExceeded(f"{label}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Table reproduction suites
 # ---------------------------------------------------------------------------
@@ -135,7 +147,8 @@ def failed_number_check(spec: FamilySpec, rule: Rule,
     """The computed failed number of a family instance against its closed
     form: equal to an exact form, at least a lower bound."""
     pred = predicted_failed(spec, rule)
-    got = failed_number(build_family(spec), rule, budget).value
+    with _naming(spec.label()):
+        got = failed_number(build_family(spec), rule, budget).value
     exact = pred.exactness == EXACT
     return TheoremReport(pred.source, spec.label(),
                          f"{'=' if exact else '>='} {pred.value}", got,
@@ -159,8 +172,9 @@ def run_table51(max_n: int | None = None, budget: int | None = None) -> dict:
             continue
         g = build_family(spec)
         # Z+ <= Z: the PSD value floors the standard search
-        zp = zero_forcing_number(g, Rule.PSD, budget).value
-        z = zero_forcing_number(g, Rule.STANDARD, budget, floor=zp).value
+        with _naming(spec.label()):
+            zp = zero_forcing_number(g, Rule.PSD, budget).value
+            z = zero_forcing_number(g, Rule.STANDARD, budget, floor=zp).value
         for parameter, want, got in (("Z", table.Z, z),
                                      ("Zplus", table.Zplus, zp)):
             _record(result,
@@ -195,8 +209,9 @@ def run_characterizations(max_n: int | None = None,
                           budget: int | None = None) -> dict:
     result = _new_result("characterizations", max_n=max_n)
     for spec in default_family_specs(max_n):
-        values, reports = _characterize(build_family(spec), spec.label(),
-                                        budget)
+        with _naming(spec.label()):
+            values, reports = _characterize(build_family(spec), spec.label(),
+                                            budget)
         f, fp, zp = values["F"], values["Fplus"], values["Zplus"]
         table = table51_lookup(spec)
         known = ()

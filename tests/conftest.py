@@ -307,3 +307,30 @@ def serialize_graph(g: Graph) -> str:
 def matrix_to_text(matrix: PatternMatrix) -> str:
     """Whitespace-separated dense text form, one row per line."""
     return "\n".join(" ".join(map(str, row)) for row in matrix.entries) + "\n"
+
+
+def reference_echelon(a) -> tuple[list[list[int]], list[int], int]:
+    """Eager Bareiss elimination, the oracle for ``linalg._echelon``: the
+    same result, with every row below the pivot row brought up to date at
+    every step.  A row with 0 in the pivot column is rescaled by
+    pivot / prev, which the lazy form defers until the row is read."""
+    rows = [list(row) for row in a]
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p], sign = rows[p], rows[r], -sign
+        pivot, tail = rows[r][c], rows[r][c + 1:]
+        for row in rows[r + 1:]:
+            f = row[c]
+            if f:
+                row[c + 1:] = [(pivot * x - f * y) // prev
+                               for x, y in zip(row[c + 1:], tail)]
+            elif pivot != prev:
+                row[c + 1:] = [pivot * x // prev for x in row[c + 1:]]
+        pivots.append(c)
+        prev = pivot
+    return rows[:len(pivots)], pivots, sign * prev

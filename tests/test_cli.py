@@ -235,6 +235,13 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == "error: bad family syntax '', expected kind:params\n"
 
+    @pytest.mark.parametrize("text", ["path:3+", "+path:3", "path:3++path:2"])
+    def test_empty_union_term_exits_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "analyze", "--family", text)
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad family syntax '{text}': "
+                       "a union term is empty\n")
+
     def test_default_output_byte_identical(self, capsys):
         argv = ("analyze", "--family", "biclique:4,3", "--json")
         _, first, _ = run_cli(capsys, *argv)
@@ -243,6 +250,20 @@ class TestAnalyze:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("suite,budget,named", [
+        ("table1", "5", "path:3: min_fort (standard)"),
+        ("table2", "5", "path:3: min_fort (psd)"),
+        ("characterizations", "5", "path:3: min_fort (standard)"),
+        ("table51", "2", "cycle:3: zero_forcing_number (psd)"),
+    ])
+    def test_budget_error_names_the_instance(self, capsys, suite, budget,
+                                             named):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                 "--budget", budget, "--max-n", "4")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {named}: candidate budget exhausted; ")
+        assert err.count("\n") == 1
+
     def test_table1_ok(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "table1",
                                "--max-n", "8")
@@ -391,6 +412,17 @@ class TestTable:
         assert code == 0
         assert "iff s=4" in out and "2s-4" in out
         assert "MISMATCH" not in out
+
+    @pytest.mark.parametrize("which,named", [
+        ("1", "path:2: min_fort (standard)"), ("2", "path:2: min_fort (psd)")])
+    def test_budget_error_names_the_instance(self, capsys, monkeypatch,
+                                             which, named):
+        # table takes no --budget; a smaller default runs out early, and
+        # no row is printed, the header neither
+        monkeypatch.setattr(forcekit.search, "DEFAULT_BUDGET", 3)
+        code, out, err = run_cli(capsys, "table", "--which", which)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {named}: candidate budget exhausted; ")
 
     @pytest.mark.parametrize("which,expected", [("1", TABLE1_STDOUT),
                                                 ("2", TABLE2_STDOUT)])

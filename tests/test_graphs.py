@@ -246,6 +246,15 @@ class TestFamilyErrors:
             parse_family(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text", ["path:3+", "+path:3", "path:3++path:2",
+                                      "path:3+ +path:2", "+"])
+    def test_empty_union_term(self, text):
+        # the whole spec is quoted, as the empty term alone says nothing
+        with pytest.raises(FamilyError) as exc:
+            parse_family(text)
+        assert str(exc.value) == (f"bad family syntax {text!r}: "
+                                  "a union term is empty")
+
     def test_union_cap_enforced_by_spec(self):
         members = (FamilySpec("empty", (40,)), FamilySpec("empty", (30,)))
         with pytest.raises(FamilyError) as exc:

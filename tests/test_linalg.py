@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -22,7 +23,12 @@ from forcekit.linalg import (
 
 from forcekit.suites import run_linalg
 
-from conftest import matrix_to_text, seeded_random_graph
+from conftest import (
+    matrix_to_text,
+    random_graph,
+    reference_echelon,
+    seeded_random_graph,
+)
 
 
 def fam(text):
@@ -186,7 +192,9 @@ class TestValidationCount:
     def test_linalg_suite_decomposes_each_matrix_once(self, monkeypatch):
         # A matrix's kernel basis and rank read one elimination.  A
         # singular matrix's is the elimination of its cofactor block, once
-        # per draw, so each draw whose cofactor is 0 adds one.
+        # per draw, so each draw whose cofactor is 0 adds one.  A
+        # Laplacian's kernel, the component indicators, is known by
+        # construction, so it takes none.
         calls = {"_echelon": 0, "_draw": 0}
         for name in calls:
             def counting(*args, _name=name, _run=getattr(linalg, name)):
@@ -197,7 +205,7 @@ class TestValidationCount:
         # 526 matrices, 200 of them Laplacians, which draw no entries
         redraws = calls["_draw"] - (526 - 200)
         assert redraws == 35
-        assert calls["_echelon"] == 526 + redraws
+        assert calls["_echelon"] == 526 - 200 + redraws == 361
 
     @pytest.mark.parametrize("text,built", [
         # the standard certificate reads the sampled matrix on even trials
@@ -382,6 +390,90 @@ class TestCarriedKernel:
         monkeypatch.setattr(linalg, "_draw", counting)
         self.carried_kernel(fam("cycle:4"), 1)
         assert draws == [2]
+
+
+class TestLaplacianKernel:
+    """weighted_laplacian keeps the component indicators, ordered by
+    greatest vertex, as its kernel; a PatternMatrix of the same entries
+    eliminates to find it, and is the oracle."""
+
+    @staticmethod
+    def check(g, seed):
+        m = weighted_laplacian(g, seed)
+        assert "_kernel" in vars(m)
+        fresh = PatternMatrix(g, m.entries, psd=True)
+        assert "_kernel" not in vars(fresh)
+        assert m._kernel == fresh._kernel
+        assert matrix_rank(m) == g.n - len(g.components)
+
+    def test_every_suite_instance(self):
+        specs = suites.default_family_specs(12)
+        specs += [parse_family(text) for text in suites._LINALG_UNIONS]
+        assert len(specs) == 100
+        for seed, spec in enumerate(specs):
+            self.check(build_family(spec), seed)
+
+    def test_every_class_up_to_order_5(self):
+        classes = [(n, rep) for n in range(1, 6)
+                   for rep, _ in suites._edge_mask_classes(n)]
+        assert len(classes) == 1 + 2 + 4 + 11 + 34
+        for seed, (n, rep) in enumerate(classes):
+            self.check(suites.graph_from_edge_mask(n, rep), seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_graphs(self, seed):
+        # sparse draws leave isolated vertices, each its own component
+        rng = random.Random(seed)
+        isolated = 0
+        for t in range(100):
+            g = random_graph(rng, rng.randint(1, 14),
+                             rng.choice((0.05, 0.15, None)))
+            isolated += 0 in g.adj
+            self.check(g, [seed, t])
+        assert isolated >= 60
+
+    def test_refuses_a_weight_that_is_not_positive(self, monkeypatch):
+        class Negative(random.Random):
+            def randint(self, a, b):
+                return -1
+        monkeypatch.setattr(linalg, "_rng", Negative)
+        with pytest.raises(ArithmeticError, match="positive weights"):
+            weighted_laplacian(fam("path:3"), 0)
+
+
+class TestLazyEchelon:
+    """_echelon leaves a row with 0 in the pivot column alone until it is
+    read; the eager elimination in conftest is its oracle."""
+
+    @staticmethod
+    def random_matrix(rng):
+        """1..12 x 1..13 integers of any density and size, some rows
+        zeroed or replaced by a combination of two others."""
+        m, n = rng.randint(1, 12), rng.randint(1, 13)
+        density = rng.choice((0, 1, rng.random(), rng.random()))
+        span = rng.choice((1, 3, 100))
+        a = [[rng.randint(-span, span) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(m)]
+        for _ in range(rng.randint(0, 3)):
+            i, j, k = (rng.randrange(m) for _ in range(3))
+            u, v = rng.randint(-3, 3), rng.randint(-3, 3)
+            a[i] = [u * x + v * y for x, y in zip(a[j], a[k])]
+        return a
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_agrees_with_eager_elimination(self, seed):
+        rng = random.Random(seed)
+        deficient = 0
+        for _ in range(1000):
+            a = self.random_matrix(rng)
+            rows, pivots, d = linalg._echelon(a)
+            want_rows, want_pivots, want_d = reference_echelon(a)
+            assert (pivots, d) == (want_pivots, want_d), a
+            # each row's entries right of its pivot, the pivot included
+            assert ([row[c:] for row, c in zip(rows, pivots)]
+                    == [row[c:] for row, c in zip(want_rows, pivots)]), a
+            deficient += len(pivots) < min(len(a), len(a[0]))
+        assert deficient >= 500
 
 
 class TestSupportImpliesFailed:
