@@ -13,9 +13,8 @@ from .forcing import Rule, derived_set, is_failed_set, is_forcing_set, \
 from .formulas import Prediction, UnsupportedFamilyError, \
     compose_disconnected, predicted_failed, predicted_table51
 from .graphs import FamilyError, FamilySpec, Graph, GraphFormatError, \
-    VertexSet, bits, build_family, connected_components, components_within, \
-    disjoint_union, graph_from_edges, is_tree, mask_of, parse_family, \
-    parse_graph
+    VertexSet, bits, build_family, components_within, disjoint_union, \
+    graph_from_edges, is_tree, mask_of, parse_family, parse_graph
 from .linalg import PatternMatrix, kernel_basis, rank_lower_bound_check, \
     sample_pattern_matrix, shifted_singular_matrix, support_implies_failed, \
     weighted_laplacian
@@ -31,9 +30,8 @@ __all__ = [
     "Prediction", "UnsupportedFamilyError", "compose_disconnected",
     "predicted_failed", "predicted_table51",
     "FamilyError", "FamilySpec", "Graph", "GraphFormatError", "VertexSet",
-    "bits", "build_family", "connected_components", "components_within",
-    "disjoint_union", "graph_from_edges", "is_tree",
-    "mask_of", "parse_family", "parse_graph",
+    "bits", "build_family", "components_within", "disjoint_union",
+    "graph_from_edges", "is_tree", "mask_of", "parse_family", "parse_graph",
     "PatternMatrix", "kernel_basis", "rank_lower_bound_check",
     "sample_pattern_matrix", "shifted_singular_matrix",
     "support_implies_failed", "weighted_laplacian",

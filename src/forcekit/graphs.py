@@ -50,23 +50,30 @@ def mask_of(vertices) -> VertexSet:
 class Graph:
     """Simple undirected graph as per-vertex neighbor bitmasks.
 
-    Invariants enforced on construction: no loops, symmetric adjacency,
-    no bits at or above ``n``, and 1 <= n <= 63.  Facts derived from the
-    adjacency (``full_mask``, ``twin_pairs``, ``edge_pairs``,
-    ``components``, ``size``) are computed on first use and kept for the
-    graph's lifetime; they take no part in ==, hash or repr.
+    Invariants enforced on construction: ``n`` is an int in 1..63, ``adj``
+    a tuple of n nonnegative int rows, no loops, symmetric adjacency, and
+    no bits at or above ``n``.  Facts derived from the adjacency
+    (``full_mask``, ``twin_pairs``, ``edge_pairs``, ``components``,
+    ``size``) are computed on first use and kept for the graph's lifetime;
+    they take no part in ==, hash or repr.
     """
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
+        if not (type(self.n) is int and 1 <= self.n <= MAX_VERTICES):
+            raise ValueError(f"vertex count {self.n!r} outside 1..{MAX_VERTICES}")
+        if type(self.adj) is not tuple:  # a list would be mutable, unhashable
+            raise ValueError(f"adjacency is a {type(self.adj).__name__}, "
+                             "not a tuple")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
+            if type(row) is not int or row < 0:
+                raise ValueError(f"row {v} of the adjacency is {row!r}, "
+                                 "not a nonnegative int")
             if row & (1 << v):
                 raise ValueError(f"loop at vertex {v}")
             if row & ~full:
@@ -106,15 +113,9 @@ class Graph:
         """The number of edges, half the degree sum."""
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
         return list(self.edge_pairs)
-
-    def edge_count(self) -> int:
-        return self.size
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -194,9 +195,9 @@ FAMILY_KINDS = tuple(_FAMILIES)
 class FamilySpec:
     """A named family instance, or a disjoint union of such instances.
 
-    For plain instances ``kind`` is one of FAMILY_KINDS and ``params`` holds
-    the generator parameters.  A union has ``kind == "union"`` and its members
-    in ``members``.
+    For plain instances ``kind`` is one of FAMILY_KINDS, ``params`` holds
+    the generator parameters and ``members`` is empty.  A union has
+    ``kind == "union"``, no parameters and its members in ``members``.
     """
 
     kind: str
@@ -205,6 +206,8 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.kind == "union":
+            if self.params:
+                raise FamilyError(f"union takes no parameters, got {self.params}")
             if len(self.members) < 2:
                 raise FamilyError("union needs at least two members")
             if any(m.kind == "union" for m in self.members):
@@ -216,6 +219,8 @@ class FamilySpec:
         row = _FAMILIES.get(self.kind)
         if row is None:
             raise FamilyError(f"unknown family kind {self.kind!r}")
+        if self.members:
+            raise FamilyError(f"{self.kind} takes no members, only a union does")
         if len(self.params) != row.arity:
             raise FamilyError(f"{self.kind} takes {row.arity} parameter(s), "
                               f"got {len(self.params)}")
@@ -322,10 +327,6 @@ def components_within(g: Graph, sub: VertexSet) -> list[VertexSet]:
     return [comp for comp, _ in component_reaches(g, sub)]
 
 
-def connected_components(g: Graph) -> list[VertexSet]:
-    return list(g.components)
-
-
 def is_connected(g: Graph) -> bool:
     return len(g.components) == 1
 
@@ -341,7 +342,7 @@ def is_tree(g: Graph) -> bool:
 
 def is_cycle_graph(g: Graph) -> bool:
     return (g.n >= 3 and g.size == g.n and is_connected(g)
-            and all(g.degree(v) == 2 for v in range(g.n)))
+            and all(row.bit_count() == 2 for row in g.adj))
 
 
 def is_complete(g: Graph) -> bool:

@@ -46,10 +46,13 @@ class _Budget:
 
     def __init__(self, limit: int | None, what: str, rule: Rule | None = None,
                  progress=lambda: ""):
-        """limit None means DEFAULT_BUDGET; a negative one is a ValueError.
-        The error message names what, and the rule when it is a Rule."""
+        """limit None means DEFAULT_BUDGET; a limit that is not an int, a
+        bool included, or that is negative is a ValueError.  The error
+        message names what, and the rule when it is a Rule."""
         if limit is None:
             limit = DEFAULT_BUDGET
+        elif type(limit) is not int:
+            raise ValueError(f"budget must be an int, got {limit!r}")
         elif limit < 0:
             raise ValueError(f"budget must be >= 0, got {limit}")
         self.left = limit
@@ -119,9 +122,11 @@ def zero_forcing_number(g: Graph, rule: Rule, budget: int | None = None,
     and only the node count falls.  A floor above the true value gives a
     wrong answer.  This package passes only Z+, the PSD value, as the floor
     of a standard search: every standard force is a PSD force, so
-    Z+ <= Z.
+    Z+ <= Z.  A floor that is not an int in 0..n is a ValueError.
     """
     n = g.n
+    if not (type(floor) is int and 0 <= floor <= n):
+        raise ValueError(f"floor must be an int in 0..{n}, got {floor!r}")
     full = g.full_mask
     best, witness = n + 1, full  # the incumbent
     tracker = _Budget(budget, "zero_forcing_number", rule, lambda: (

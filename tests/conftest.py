@@ -9,7 +9,6 @@ from forcekit.graphs import (
     VertexSet,
     bits,
     build_family,
-    connected_components,
     graph_from_edges,
     is_tree,
     mask_of,
@@ -231,7 +230,7 @@ def labeled_exhaustive(max_n: int) -> dict:
 def maximal_failed_contains_compositions(g: Graph, rule: Rule) -> bool:
     """The per-component construction V \\ (V_i \\ F_i) must appear among the
     maximal failed sets of a disconnected graph."""
-    comps = connected_components(g)
+    comps = g.components
     if len(comps) < 2:
         raise ValueError("needs a disconnected graph")
     maximal = set(enumerate_maximal_failed(g, rule))
@@ -291,7 +290,7 @@ def enumerate_maximal_failed(g: Graph, rule: Rule,
 def is_path_graph(g: Graph) -> bool:
     if g.n == 1:
         return True
-    degs = sorted(g.degree(v) for v in range(g.n))
+    degs = sorted(g.adj[v].bit_count() for v in range(g.n))
     return (is_tree(g) and degs[0] == degs[1] == 1
             and (g.n == 2 or degs[2] == 2) and degs[-1] <= 2)
 

@@ -17,7 +17,6 @@ from forcekit.graphs import (
     build_family,
     component_reaches,
     components_within,
-    connected_components,
     disjoint_union,
     graph_from_edges,
     has_adjacent_module_order2,
@@ -85,6 +84,21 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph(64, (0,) * 64)
 
+    @pytest.mark.parametrize("n,adj,message", [
+        (True, (0,), "vertex count True outside 1..63"),
+        (3.0, (0, 0, 0), "vertex count 3.0 outside 1..63"),
+        (2, [2, 1], "adjacency is a list, not a tuple"),
+        (2, (2, True), "row 1 of the adjacency is True, not a nonnegative int"),
+        (2, (2.0, 1), "row 0 of the adjacency is 2.0, not a nonnegative int"),
+        (2, (2, -1), "row 1 of the adjacency is -1, not a nonnegative int"),
+    ])
+    def test_refuses_what_it_cannot_hold(self, n, adj, message):
+        # a list would leave the graph mutable and unhashable, and a float
+        # row fails in bit arithmetic far from the cause
+        with pytest.raises(ValueError) as exc:
+            Graph(n, adj)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("edge", [(0, 5), (-1, 0), (3, 1), (0, -3)])
     def test_edge_list_refuses_endpoints_outside_the_graph(self, edge):
         with pytest.raises(ValueError) as exc:
@@ -130,12 +144,12 @@ class TestFamilies:
     def test_cycle4_degrees(self):
         g = fam("cycle:4")
         assert g.n == 4
-        assert all(g.degree(v) == 2 for v in range(4))
+        assert all(g.adj[v].bit_count() == 2 for v in range(4))
 
     def test_hypercube3(self):
         g = fam("hypercube:3")
-        assert (g.n, g.edge_count()) == (8, 12)
-        assert all(g.degree(v) == 3 for v in range(8))
+        assert (g.n, g.size) == (8, 12)
+        assert all(g.adj[v].bit_count() == 3 for v in range(8))
         # adjacency iff labels differ in exactly one bit
         for u in range(8):
             for v in range(u + 1, 8):
@@ -145,7 +159,7 @@ class TestFamilies:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_hypercube_regular(self, d):
         g = fam(f"hypercube:{d}")
-        assert all(g.degree(v) == d for v in range(g.n))
+        assert all(g.adj[v].bit_count() == d for v in range(g.n))
 
     def test_halfgraph2_is_p4(self):
         g = fam("halfgraph:2")
@@ -157,25 +171,25 @@ class TestFamilies:
         # part one vertex i (0-based) has degree s - i, part two vertex
         # s + j has degree j + 1
         for i in range(s):
-            assert g.degree(i) == s - i
-            assert g.degree(s + i) == i + 1
+            assert g.adj[i].bit_count() == s - i
+            assert g.adj[s + i].bit_count() == i + 1
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_wheel_labeling(self, n):
         g = fam(f"wheel:{n}")
         hub = n - 1
-        assert g.degree(hub) == n - 1
+        assert g.adj[hub].bit_count() == n - 1
         if n >= 5:
-            assert all(g.degree(v) == 3 for v in range(n - 1))
+            assert all(g.adj[v].bit_count() == 3 for v in range(n - 1))
         # rim is the consecutive cycle
         for v in range(n - 1):
             assert g.adj[v] & (1 << ((v + 1) % (n - 1)))
 
     def test_biclique(self):
         g = fam("biclique:3,2")
-        assert g.n == 5 and g.edge_count() == 6
-        assert all(g.degree(v) == 2 for v in range(3))
-        assert all(g.degree(v) == 3 for v in range(3, 5))
+        assert g.n == 5 and g.size == 6
+        assert all(g.adj[v].bit_count() == 2 for v in range(3))
+        assert all(g.adj[v].bit_count() == 3 for v in range(3, 5))
 
     @pytest.mark.parametrize("m,n", [(2, 7), (2, 13), (3, 10)])
     def test_marytree_is_tree(self, m, n):
@@ -189,7 +203,7 @@ class TestFamilies:
 
     def test_empty(self):
         g = fam("empty:3")
-        assert g.edge_count() == 0 and g.n == 3
+        assert g.size == 0 and g.n == 3
 
     @pytest.mark.parametrize("text", [
         "cycle:2", "wheel:3", "biclique:0,2", "marytree:1,5", "path:0",
@@ -285,6 +299,18 @@ class TestFamilyErrors:
             FamilySpec(kind, params)
         assert str(exc.value) == f"{kind} takes int parameters, got {params}"
 
+    @pytest.mark.parametrize("kind,params,message", [
+        ("path", (3,), "path takes no members, only a union does"),
+        ("union", (5,), "union takes no parameters, got (5,)"),
+    ])
+    def test_spec_refuses_a_shape_it_would_ignore(self, kind, params, message):
+        # the first would label and build as path:3 and the second as
+        # path:2+path:2, yet neither would equal that spec
+        p2 = FamilySpec("path", (2,))
+        with pytest.raises(FamilyError) as exc:
+            FamilySpec(kind, params, members=(p2, p2))
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("text", ["union:3+path:2", "union:3",
                                       "path:2+union:1,2"])
     def test_union_is_no_dsl_kind(self, text):
@@ -329,16 +355,16 @@ class TestFamilyKinds:
 class TestDisjointUnion:
     def test_p2_p2(self):
         g = disjoint_union(fam("path:2"), fam("path:2"))
-        assert (g.n, g.edge_count()) == (4, 2)
-        assert len(connected_components(g)) == 2
+        assert (g.n, g.size) == (4, 2)
+        assert len(g.components) == 2
 
     def test_two_singletons(self):
         g = disjoint_union(fam("complete:1"), fam("complete:1"))
-        assert g.edge_count() == 0 and g.n == 2
+        assert g.size == 0 and g.n == 2
 
     def test_c3_p2(self):
         g = fam("cycle:3+path:2")
-        assert (g.n, g.edge_count()) == (5, 4)
+        assert (g.n, g.size) == (5, 4)
 
     def test_overflow(self):
         with pytest.raises(FamilyError):
@@ -347,13 +373,13 @@ class TestDisjointUnion:
 
 class TestComponents:
     def test_c5_one_block(self):
-        assert connected_components(fam("cycle:5")) == [0b11111]
+        assert list(fam("cycle:5").components) == [0b11111]
 
     def test_empty3_singletons(self):
-        assert connected_components(fam("empty:3")) == [1, 2, 4]
+        assert list(fam("empty:3").components) == [1, 2, 4]
 
     def test_c3_p2_blocks(self):
-        blocks = connected_components(fam("cycle:3+path:2"))
+        blocks = fam("cycle:3+path:2").components
         assert sorted(b.bit_count() for b in blocks) == [2, 3]
 
     def test_within_c4(self):
@@ -385,7 +411,7 @@ class TestComponents:
     @settings(max_examples=60)
     @given(graphs())
     def test_blocks_partition_and_separate(self, g):
-        blocks = connected_components(g)
+        blocks = g.components
         assert sum(blocks) == g.full_mask  # disjoint cover
         for a, b in itertools.combinations(blocks, 2):
             assert a & b == 0
@@ -396,7 +422,7 @@ class TestComponents:
     @given(graphs())
     def test_matches_networkx(self, g):
         want = sorted(mask_of(c) for c in nx.connected_components(to_networkx(g)))
-        assert sorted(connected_components(g)) == want
+        assert sorted(g.components) == want
 
 
 class TestModules:
@@ -455,7 +481,7 @@ class TestEdgeListFormat:
 
     def test_k3(self):
         g = parse_graph("3 3\n0 1\n1 2\n0 2")
-        assert g.edge_count() == 3
+        assert g.size == 3
 
     @pytest.mark.parametrize("text,fragment", [
         ("2 1\n0 0", "loop"),

@@ -8,7 +8,7 @@ import forcekit.linalg as linalg
 import forcekit.suites as suites
 from forcekit.forcing import Rule, is_failed_set
 from forcekit.formulas import table51_lookup
-from forcekit.graphs import build_family, connected_components, parse_family
+from forcekit.graphs import build_family, parse_family
 from forcekit.linalg import (
     PatternMatrix,
     PatternMismatchError,
@@ -242,7 +242,7 @@ class TestLaplacian:
                 elif i != j:
                     assert a[i][j] == 0
         assert all(sum(row) == 0 for row in a)
-        assert g.n - matrix_rank(m) == len(connected_components(g))
+        assert g.n - matrix_rank(m) == len(g.components)
 
     def test_entries_are_stable_across_versions(self):
         m = weighted_laplacian(fam("wheel:5"), seed=3)
@@ -259,7 +259,7 @@ class TestLaplacian:
     ])
     def test_nullity_counts_components(self, text, comps):
         g = fam(text)
-        assert len(connected_components(g)) == comps
+        assert len(g.components) == comps
         m = weighted_laplacian(g, seed=4)
         assert len(kernel_basis(m)) == comps
         assert m.psd
@@ -347,7 +347,7 @@ class TestExactKernelOracle:
             if kind == "shifted_singular_matrix":
                 assert rank < n
             if kind == "weighted_laplacian":
-                assert rank == n - len(connected_components(g))
+                assert rank == n - len(g.components)
 
 
 class TestCarriedKernel:

@@ -255,6 +255,33 @@ def test_negative_budget_is_a_value_error(search):
         search(fam("path:3"), Rule.STANDARD, -1)
 
 
+@pytest.mark.parametrize("budget", [True, 2.5, "10"])
+@pytest.mark.parametrize("search", [
+    zero_forcing_number, min_fort, failed_number, brute_failed_number])
+def test_budget_that_is_not_an_int_is_a_value_error(search, budget):
+    # True would run as a budget of 1
+    with pytest.raises(ValueError) as exc:
+        search(fam("path:3"), Rule.STANDARD, budget)
+    assert str(exc.value) == f"budget must be an int, got {budget!r}"
+
+
+@pytest.mark.parametrize("floor", [-1, 8, 100, 2.5, True])
+def test_floor_outside_0_to_n_is_a_value_error(spent, floor):
+    # floor=100 would return value 8 with a 7-vertex witness
+    with pytest.raises(ValueError) as exc:
+        zero_forcing_number(fam("wheel:7"), Rule.PSD, floor=floor)
+    assert str(exc.value) == f"floor must be an int in 0..7, got {floor!r}"
+    assert spent[0] == 0  # refused before any node
+
+
+@pytest.mark.parametrize("text,floor", [("wheel:7", 0), ("empty:3", 3)])
+def test_floor_at_either_end_is_taken(text, floor):
+    # 0 and n are both proven bounds here: Z(empty:3) = 3
+    g = fam(text)
+    assert (zero_forcing_number(g, Rule.PSD, floor=floor)
+            == zero_forcing_number(g, Rule.PSD))
+
+
 class TestMinFort:
     @pytest.mark.parametrize("text,rule,size", [
         ("cycle:5", Rule.STANDARD, 3),

@@ -24,7 +24,6 @@ from forcekit.graphs import (
     Graph,
     build_family,
     component_reaches,
-    connected_components,
     disjoint_union,
     graph_from_edges,
     is_complete,
@@ -266,15 +265,14 @@ class TestEdgeMaskClasses:
         graphs += [build_family(spec) for spec in default_family_specs()]
         for g in graphs:
             comps = [comp for comp, _ in component_reaches(g, g.full_mask)]
-            edges = sum(g.degree(v) for v in range(g.n)) // 2
-            assert connected_components(g) == comps
-            assert connected_components(g) is not connected_components(g)
-            assert g.edge_count() == edges
+            edges = sum(g.adj[v].bit_count() for v in range(g.n)) // 2
+            assert list(g.components) == comps
+            assert g.size == edges
             assert is_connected(g) == (len(comps) == 1)
             assert is_tree(g) == (len(comps) == 1 and edges == g.n - 1)
             assert is_cycle_graph(g) == (
                 len(comps) == 1 and g.n >= 3
-                and all(g.degree(v) == 2 for v in range(g.n)))
+                and all(g.adj[v].bit_count() == 2 for v in range(g.n)))
             assert is_complete(g) == (edges == g.n * (g.n - 1) // 2)
             assert is_empty_graph(g) == (edges == 0)
 
